@@ -59,15 +59,31 @@ goldenParams(ExceptMech mech, bool idleSkip = true)
 }
 
 std::string
-statDump(ExceptMech mech, bool idleSkip = true)
+statDump(const SimParams &params,
+         const std::vector<WorkloadParams> &workloads)
 {
-    Simulator sim(goldenParams(mech, idleSkip),
-                  std::vector<std::string>{"compress"});
+    Simulator sim(params, workloads);
     CoreResult result = sim.run();
-    EXPECT_TRUE(result.ok()) << mechName(mech) << ": " << result.error;
+    EXPECT_TRUE(result.ok()) << params.summary() << ": " << result.error;
     std::ostringstream os;
     sim.dumpStats(os);
     return os.str();
+}
+
+std::string
+statDump(ExceptMech mech, bool idleSkip = true)
+{
+    return statDump(goldenParams(mech, idleSkip),
+                    {benchmarkParams("compress")});
+}
+
+std::string
+hexChecksum(uint64_t checksum)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  (unsigned long long)checksum);
+    return buf;
 }
 
 // ---------------------------------------------------------------------
@@ -99,12 +115,9 @@ TEST_P(GoldenRunTest, StatDumpChecksumMatches)
     std::string dump = statDump(point.mech);
     ASSERT_GT(dump.size(), 1000u); // a real, full dump — not a stub
     uint64_t actual = fnv1a(dump);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  (unsigned long long)actual);
     EXPECT_EQ(actual, point.checksum)
         << mechName(point.mech) << " stat dump changed; if intended, "
-        << "update goldenTable to {..., " << buf << "ULL}";
+        << "update goldenTable to {..., " << hexChecksum(actual) << "ULL}";
 }
 
 TEST_P(GoldenRunTest, RepeatedRunsAreDeterministic)
@@ -117,6 +130,91 @@ INSTANTIATE_TEST_SUITE_P(
     AllMechanisms, GoldenRunTest, ::testing::ValuesIn(goldenTable),
     [](const ::testing::TestParamInfo<GoldenPoint> &info) {
         return std::string(mechName(info.param.mech));
+    });
+
+// ---------------------------------------------------------------------
+// Paths the single-app table above does not reach: a three-app SMT mix
+// with an idle context (window slots and ready-list inserts interleaved
+// across threads), each Table 3 limit toggle under multithreaded(3)
+// (freeWindowSlot accounting; instantHandlerFetch dispatches in the
+// middle of the issue scan), and the instruction-emulation exception.
+// ---------------------------------------------------------------------
+
+struct GoldenPath
+{
+    const char *name;
+    ExceptMech mech;
+    unsigned idleThreads;
+    std::vector<std::string> benches;
+    void (*configure)(SimParams &); //!< null: defaults
+    unsigned fsqrtOps;              //!< FSQRTs added per loop body
+    uint64_t checksum;
+};
+
+std::string
+statDump(const GoldenPath &path, bool idleSkip = true)
+{
+    SimParams params = goldenParams(path.mech, idleSkip);
+    params.except.idleThreads = path.idleThreads;
+    if (path.configure)
+        path.configure(params);
+    std::vector<WorkloadParams> workloads;
+    for (const auto &bench : path.benches) {
+        workloads.push_back(benchmarkParams(bench));
+        workloads.back().fsqrtOps = path.fsqrtOps;
+    }
+    return statDump(params, workloads);
+}
+
+const std::vector<std::string> MixAdmCmpVor = {"alphadoom", "compress",
+                                               "vortex"};
+
+// Pinned like goldenTable; a mismatch prints the actual checksum.
+const GoldenPath goldenPaths[] = {
+    {"MixTraditional", ExceptMech::Traditional, 1, MixAdmCmpVor, nullptr,
+     0, 0x5aba6b469824be3cULL},
+    {"MixMultithreaded", ExceptMech::Multithreaded, 1, MixAdmCmpVor,
+     nullptr, 0, 0xbafc8ea57d598624ULL},
+    {"Mt3FreeHandlerWindow", ExceptMech::Multithreaded, 3, {"compress"},
+     [](SimParams &p) { p.except.freeHandlerWindow = true; }, 0,
+     0xdb000b9892cef4b2ULL},
+    {"Mt3FreeHandlerExecBw", ExceptMech::Multithreaded, 3, {"compress"},
+     [](SimParams &p) { p.except.freeHandlerExecBw = true; }, 0,
+     0xf7e533ad1a6d73faULL},
+    {"Mt3FreeHandlerFetchBw", ExceptMech::Multithreaded, 3, {"compress"},
+     [](SimParams &p) { p.except.freeHandlerFetchBw = true; }, 0,
+     0xbcf101b4a90212d1ULL},
+    {"Mt3InstantHandlerFetch", ExceptMech::Multithreaded, 3, {"compress"},
+     [](SimParams &p) { p.except.instantHandlerFetch = true; }, 0,
+     0x1257bebd77c8b7eeULL},
+    {"MtEmulateFsqrt", ExceptMech::Multithreaded, 1, {"compress"},
+     [](SimParams &p) { p.except.emulateFsqrt = true; }, 1,
+     0x462d45f3e4fa0c5aULL},
+};
+
+class GoldenPathTest : public ::testing::TestWithParam<GoldenPath>
+{};
+
+TEST_P(GoldenPathTest, StatDumpChecksumMatches)
+{
+    const GoldenPath &path = GetParam();
+    uint64_t actual = fnv1a(statDump(path));
+    EXPECT_EQ(actual, path.checksum)
+        << path.name << " stat dump changed; if intended, update "
+        << "goldenPaths to {..., " << hexChecksum(actual) << "ULL}";
+}
+
+TEST_P(GoldenPathTest, DumpIdenticalWithIdleSkipOff)
+{
+    const GoldenPath &path = GetParam();
+    EXPECT_EQ(statDump(path, true), statDump(path, false))
+        << path.name << ": idle-skip changed a statistic";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmtLimitAndEmulation, GoldenPathTest, ::testing::ValuesIn(goldenPaths),
+    [](const ::testing::TestParamInfo<GoldenPath> &info) {
+        return std::string(info.param.name);
     });
 
 // ---------------------------------------------------------------------
