@@ -168,8 +168,6 @@ SmtCore::~SmtCore()
         inst->dependents.clear();
         inst->prevWriter.reset();
     };
-    for (const InstPtr &inst : window)
-        unlink(inst);
     for (const InstPtr &inst : parked)
         unlink(inst);
     for (const auto &event : completionQueue)
@@ -181,7 +179,6 @@ SmtCore::~SmtCore()
             unlink(inst);
     }
 
-    window.clear();
     parked.clear();
     readyList.clear();
     completionQueue.clear();
@@ -323,12 +320,8 @@ SmtCore::tick()
     windowOccupancy.sample(double(windowCount));
 
     if ((curCycle & 1023) == 0) {
-        unsigned actual = 0;
-        for (const InstPtr &inst : window)
-            actual += inst->freeWindowSlot ? 0 : 1;
-        panic_if(actual != windowCount,
-                 "window occupancy audit: counted %u tracked %u",
-                 actual, windowCount);
+        std::string error = InvariantChecker::windowViolation(*this);
+        panic_if(!error.empty(), "window audit: %s", error.c_str());
     }
 
     if (checker && curCycle % params.verify.invariantPeriod == 0)
@@ -402,7 +395,7 @@ SmtCore::quiescentUntil(Cycle limit)
     // a later cycle purely by aging (dependence/serialization stalls
     // resolve via completion events, which are already covered).
     for (const InstPtr &inst : readyList) {
-        if (inst->status != InstStatus::InWindow || inst->depsPending > 0)
+        if (inst->status != InstStatus::InWindow)
             continue;
         Cycle ready_at = inst->windowAt + params.core.schedDepth +
                          params.core.regReadDepth;
@@ -619,18 +612,9 @@ void
 SmtCore::dumpState(std::ostream &os) const
 {
     os << "=== core state @ cycle " << curCycle << " ===\n";
-    os << "window: " << window.size() << " entries, occupancy "
-       << windowCount << "/" << params.core.windowSize << "\n";
-    size_t shown = 0;
-    for (const InstPtr &inst : window) {
-        if (shown++ >= 8)
-            break;
-        os << "  w seq=" << inst->seq << " t" << inst->tid << " pc=0x"
-           << std::hex << inst->pc << std::dec << " "
-           << isa::disassemble(inst->di) << " st="
-           << int(inst->status) << " deps=" << inst->depsPending
-           << (inst->palMode ? " PAL" : "") << "\n";
-    }
+    os << "window: occupancy " << windowCount << "/"
+       << params.core.windowSize << ", ready list " << readyList.size()
+       << "\n";
     for (const auto &ctx : contexts) {
         os << "ctx " << ctx->id << " state=" << int(ctx->cstate)
            << " fetchPc=0x" << std::hex << ctx->fetchPc << std::dec
@@ -646,6 +630,17 @@ SmtCore::dumpState(std::ostream &os) const
                << isa::disassemble(head->di) << "}";
         }
         os << "\n";
+        // The thread's oldest window residents (dispatched, unretired).
+        size_t shown = 0;
+        for (const InstPtr &inst : ctx->inflight) {
+            if (!inst->inWindowLike() || shown++ >= 8)
+                break;
+            os << "  w seq=" << inst->seq << " pc=0x" << std::hex
+               << inst->pc << std::dec << " "
+               << isa::disassemble(inst->di) << " st="
+               << int(inst->status) << " deps=" << inst->depsPending
+               << (inst->palMode ? " PAL" : "") << "\n";
+        }
     }
     os << "records: " << records.size();
     for (const auto &r : records) {

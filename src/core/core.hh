@@ -25,6 +25,7 @@
 
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "config/params.hh"
@@ -304,8 +305,10 @@ class SmtCore : public stats::StatGroup
     unsigned fetchFromThread(ThreadCtx &ctx, unsigned budget);
     InstPtr createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
                               Cycle fetch_done);
-    isa::InstWord readInstWord(const ThreadCtx &ctx, Addr pc) const;
-    Addr instFetchPa(const ThreadCtx &ctx, Addr pc) const;
+    /** One translation of @p pc in the context's fetch mode: the
+     *  instruction word and the physical address it was read at. */
+    std::pair<isa::InstWord, Addr> readInstWord(const ThreadCtx &ctx,
+                                                Addr pc) const;
     void prefillQuickStart(ThreadCtx &ctx);
 
     // --- Dispatch helpers -----------------------------------------------------
@@ -315,7 +318,6 @@ class SmtCore : public stats::StatGroup
     void dispatchInst(ThreadCtx &ctx, const InstPtr &inst);
     void functionalExecute(ThreadCtx &ctx, const InstPtr &inst);
     void linkDependencies(ThreadCtx &ctx, const InstPtr &inst);
-    void insertIntoWindow(const InstPtr &inst);
     void handlerWindowDeadlock(ThreadCtx &handler_ctx);
     unsigned reservedAgainst(ThreadID master) const;
 
@@ -378,7 +380,7 @@ class SmtCore : public stats::StatGroup
      */
     void squashFrom(ThreadCtx &ctx, SeqNum first_squashed);
     void undoInst(ThreadCtx &ctx, DynInst &inst);
-    void removeFromWindow(DynInst &inst);
+    void removeFromWindow(const DynInst &inst);
 
     // --- Retire ----------------------------------------------------------------------
     bool retireBlocked(ThreadCtx &ctx, const InstPtr &head);
@@ -451,14 +453,15 @@ class SmtCore : public stats::StatGroup
     std::vector<ExcRecord> records;
     std::vector<InstPtr> parked; //!< instructions waiting on a TLB fill
 
-    /** Instruction window, sorted by sequence number. */
-    std::vector<InstPtr> window;
-    unsigned windowCount = 0; //!< occupancy (honors freeHandlerWindow)
+    /** Window occupancy (honors freeHandlerWindow). The window itself
+     *  is the inWindowLike() part of the contexts' in-flight lists. */
+    unsigned windowCount = 0;
 
     /**
-     * Dispatched-but-unissued instructions (status InWindow or
-     * TlbWait), sorted by seq. doIssue scans this instead of the whole
-     * window; issued/squashed entries are compacted out in-scan.
+     * Unissued instructions with no pending operands (status InWindow,
+     * or parked in TlbWait), sorted by seq. doIssue scans this instead
+     * of the whole window; issued/squashed entries are compacted out
+     * in-scan.
      */
     std::vector<InstPtr> readyList;
 

@@ -9,7 +9,6 @@
  * deadlock-avoidance squash (paper Section 4.4).
  */
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/core.hh"
@@ -339,18 +338,6 @@ SmtCore::windowHasRoomFor(const ThreadCtx &ctx, const DynInst &inst) const
 }
 
 void
-SmtCore::insertIntoWindow(const InstPtr &inst)
-{
-    auto pos = std::upper_bound(window.begin(), window.end(), inst->seq,
-                                [](SeqNum seq, const InstPtr &other) {
-                                    return seq < other->seq;
-                                });
-    window.insert(pos, inst);
-    if (!inst->freeWindowSlot)
-        ++windowCount;
-}
-
-void
 SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
 {
     inst->freeWindowSlot =
@@ -374,8 +361,12 @@ SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
 
     inst->windowAt = curCycle;
     inst->status = InstStatus::InWindow;
-    insertIntoWindow(inst);
-    insertIntoReadyList(inst);
+    if (!inst->freeWindowSlot)
+        ++windowCount;
+    // One still waiting on a producer is listed by completeInst()
+    // when its last operand arrives.
+    if (inst->depsPending == 0)
+        insertIntoReadyList(inst);
     obsEmit(obs::EventKind::Dispatched, *inst);
 
     if (helpers->prefetchOn() && ctx.isApp() && !inst->palMode &&

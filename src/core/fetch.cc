@@ -15,22 +15,17 @@
 namespace zmt
 {
 
-isa::InstWord
+std::pair<isa::InstWord, Addr>
 SmtCore::readInstWord(const ThreadCtx &ctx, Addr pc) const
 {
     if (ctx.fetchPal)
-        return physMem.read32(pc);
+        return {physMem.read32(pc), pc};
     panic_if(!ctx.proc, "user fetch on an unbound context");
-    return ctx.proc->fetchWord(pc, physMem);
-}
-
-Addr
-SmtCore::instFetchPa(const ThreadCtx &ctx, Addr pc) const
-{
-    if (ctx.fetchPal)
-        return pc;
-    auto pa = ctx.proc->space().translate(pc);
-    return pa ? *pa : fakePa(ctx.proc->asn(), pc);
+    if (auto pa = ctx.proc->space().translate(pc))
+        return {physMem.read32(*pa), *pa};
+    // Wild wrong-path PC: no instruction, but the I-cache still sees
+    // the access (as for unmapped data addresses).
+    return {0, fakePa(ctx.proc->asn(), pc)};
 }
 
 const std::vector<SmtCore::ThreadCtx *> &
@@ -133,7 +128,7 @@ SmtCore::fetchFromThread(ThreadCtx &ctx, unsigned budget)
     unsigned fetched = 0;
     while (budget > 0 && canFetch(ctx)) {
         Addr pc = ctx.fetchPc;
-        Addr pa = instFetchPa(ctx, pc);
+        auto [word, pa] = readInstWord(ctx, pc);
 
         // Instruction-cache timing: a miss delays this and subsequent
         // instructions of the group; fetch of this thread stops for
@@ -142,7 +137,6 @@ SmtCore::fetchFromThread(ThreadCtx &ctx, unsigned budget)
         Cycle fetch_done =
             std::max(icache_ready, curCycle) + params.core.fetchDepth;
 
-        isa::InstWord word = readInstWord(ctx, pc);
         InstPtr inst = createFetchedInst(ctx, pc, word, fetch_done);
         if (obsLog) [[unlikely]] {
             obsEmit(obs::EventKind::Fetched, *inst);
@@ -210,7 +204,7 @@ SmtCore::prefillQuickStart(ThreadCtx &ctx)
     unsigned count = 0;
     while (count < ctx.handlerLen) {
         Addr pc = ctx.fetchPc;
-        isa::InstWord word = readInstWord(ctx, pc);
+        isa::InstWord word = readInstWord(ctx, pc).first;
         InstPtr inst = createFetchedInst(ctx, pc, word, curCycle);
         if (obsLog) [[unlikely]] {
             obsEmit(obs::EventKind::Fetched, *inst, 0, obs::EvPrefill);

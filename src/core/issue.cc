@@ -179,20 +179,21 @@ SmtCore::doIssue()
     unsigned budget = params.core.width;
     unsigned issued = 0;
 
-    // Scan only the dispatched-but-unissued instructions. readyList is
-    // the window filtered to status InWindow/TlbWait and sorted by seq
-    // (oldest-fetched first, the paper's selection policy); entries
-    // that issued or squashed since the last scan are compacted out in
-    // the same pass. The scan is bounded to the size on entry: a
-    // mid-scan dispatch (instant handler fetch during a traditional
-    // trap) appends a younger instruction the old whole-window
-    // snapshot would not have visited either.
+    // Scan only the operand-ready instructions, sorted by seq
+    // (oldest-fetched first, the paper's selection policy). One still
+    // waiting on a producer could never issue nor touch the budget,
+    // FU counters or `exhausted`, so leaving it out changes nothing.
+    // Entries that issued or squashed since the last scan are
+    // compacted out in the same pass. The scan is bounded to the size
+    // on entry: an instruction dispatched mid-scan (instant handler
+    // fetch) is appended and first considered next cycle.
     const size_t n0 = readyList.size();
     size_t keep = 0;
     bool exhausted = false;
     for (size_t i = 0; i < n0; ++i) {
-        // By value: the issue paths below can grow readyList and
-        // invalidate references into it.
+        // By value, not moved out: the issue paths below can grow
+        // readyList (invalidating references), and that mid-scan
+        // insertIntoReadyList() binary-searches every slot.
         InstPtr inst = readyList[i];
 
         if (inst->status != InstStatus::InWindow) {
@@ -203,7 +204,7 @@ SmtCore::doIssue()
                 readyList[keep++] = std::move(inst);
             continue;
         }
-        if (exhausted || inst->depsPending > 0 ||
+        if (exhausted ||
             curCycle < inst->windowAt + params.core.schedDepth +
                            params.core.regReadDepth ||
             (inst->isSerializing() && !oldestUnfinished(*inst))) {

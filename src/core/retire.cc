@@ -13,7 +13,6 @@
  * abandons page-table walks.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -63,18 +62,11 @@ SmtCore::retireBlocked(ThreadCtx &ctx, const InstPtr &head)
 }
 
 void
-SmtCore::removeFromWindow(DynInst &inst)
+SmtCore::removeFromWindow(const DynInst &inst)
 {
-    auto pos = std::lower_bound(window.begin(), window.end(), inst.seq,
-                                [](const InstPtr &other, SeqNum seq) {
-                                    return other->seq < seq;
-                                });
-    if (pos != window.end() && (*pos)->seq == inst.seq) {
-        window.erase(pos);
-        if (!inst.freeWindowSlot) {
-            panic_if(windowCount == 0, "window occupancy underflow");
-            --windowCount;
-        }
+    if (!inst.freeWindowSlot) {
+        panic_if(windowCount == 0, "window occupancy underflow");
+        --windowCount;
     }
 }
 

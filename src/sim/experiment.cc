@@ -88,6 +88,9 @@ measureWith(const SimParams &params, const Workloads &workloads,
     // (ffwd.insts / restore stay) but must not re-write the file.
     perfect.obs = {};
     perfect.ffwd.save.clear();
+    // Only the handler-thread mechanisms read idleThreads, so cells
+    // that differ in it alone share one perfect-TLB baseline.
+    perfect.except.idleThreads = 0;
 
     PenaltyResult result;
     if (!skip_baseline) {

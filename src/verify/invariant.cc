@@ -36,41 +36,59 @@ InvariantChecker::audit()
     auditParked();
 }
 
+std::string
+InvariantChecker::windowViolation(const SmtCore &core)
+{
+    std::ostringstream os;
+    auto violation = [&] {
+        os << " (cycle " << core.curCycle << ")";
+        return os.str();
+    };
+
+    // The window's members are the dispatched (inWindowLike) entries of
+    // the in-flight lists, so its order is per-thread program order.
+    unsigned occupied = 0, ready = 0, listed = 0;
+    for (const auto &ctx : core.contexts) {
+        SeqNum prev = 0;
+        for (const InstPtr &inst : ctx->inflight) {
+            if (inst->seq <= prev ||
+                (!inst->inWindowLike() &&
+                 inst->status != InstStatus::InFetchBuf)) {
+                os << "ctx " << ctx->id << ": in-flight seq " << inst->seq
+                   << " out of order or dead (status "
+                   << int(inst->status) << ")";
+                return violation();
+            }
+            prev = inst->seq;
+            occupied += inst->inWindowLike() && !inst->freeWindowSlot;
+            ready += inst->status == InstStatus::InWindow &&
+                     inst->depsPending == 0;
+        }
+    }
+    // A listed instruction still waiting on a producer, or a missing
+    // operand-ready one (it would never issue), breaks the count.
+    for (const InstPtr &inst : core.readyList)
+        listed += inst->status == InstStatus::InWindow;
+
+    if (occupied != core.windowCount)
+        os << "window accounting: counted " << occupied << " tracked "
+           << core.windowCount;
+    else if (core.windowCount > core.params.core.windowSize)
+        os << "window occupancy " << core.windowCount << " exceeds size "
+           << core.params.core.windowSize;
+    else if (listed != ready)
+        os << "ready list holds " << listed << " of " << ready
+           << " operand-ready instructions";
+    else
+        return {};
+    return violation();
+}
+
 void
 InvariantChecker::auditWindow()
 {
-    std::ostringstream os;
-    SeqNum prev = 0;
-    unsigned occupied = 0;
-    for (const InstPtr &inst : core.window) {
-        if (inst->seq <= prev) {
-            os << "window not sorted at seq " << inst->seq << " (cycle "
-               << core.curCycle << ")";
-            fail(os.str());
-            return;
-        }
-        prev = inst->seq;
-        if (!inst->inWindowLike()) {
-            os << "window holds seq " << inst->seq << " in status "
-               << int(inst->status) << " (cycle " << core.curCycle << ")";
-            fail(os.str());
-            return;
-        }
-        if (!inst->freeWindowSlot)
-            ++occupied;
-    }
-    if (occupied != core.windowCount) {
-        os << "window accounting: counted " << occupied << " tracked "
-           << core.windowCount << " (cycle " << core.curCycle << ")";
-        fail(os.str());
-    }
-    if (core.windowCount > core.params.core.windowSize) {
-        std::ostringstream o2;
-        o2 << "window occupancy " << core.windowCount << " exceeds size "
-           << core.params.core.windowSize << " (cycle " << core.curCycle
-           << ")";
-        fail(o2.str());
-    }
+    if (std::string violation = windowViolation(core); !violation.empty())
+        fail(std::move(violation));
 }
 
 void
@@ -87,16 +105,6 @@ InvariantChecker::auditContexts()
                << ctx.inflight.size();
             fail(os.str());
             continue;
-        }
-        SeqNum prev = 0;
-        for (const InstPtr &inst : ctx.inflight) {
-            if (inst->seq <= prev) {
-                os << "in-flight list not in program order at seq "
-                   << inst->seq;
-                fail(os.str());
-                break;
-            }
-            prev = inst->seq;
         }
         for (const InstPtr &inst : ctx.fetchBuf) {
             if (inst->status != InstStatus::InFetchBuf) {

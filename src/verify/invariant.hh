@@ -5,10 +5,12 @@
  * timing bug fails loudly at the cycle it happens instead of
  * corrupting architectural state silently. Checked invariants:
  *
- *  - the instruction window is sorted, holds only live instructions,
- *    and its occupancy counter matches its contents
- *  - per-context accounting (icount vs. in-flight list, in-flight
- *    order, idle contexts are empty)
+ *  - the in-flight lists (whose dispatched part is the window) hold
+ *    only live instructions in program order; the occupancy counter
+ *    matches them and never exceeds the window size; the ready list
+ *    holds exactly the operand-ready unissued instructions
+ *  - per-context accounting (icount vs. in-flight list, idle contexts
+ *    are empty)
  *  - context state machine takes only legal transitions
  *    (app stays app; idle <-> handler)
  *  - every exception record points at a live excepting instruction and
@@ -50,6 +52,10 @@ class InvariantChecker
 
     /** Event hook: @p inst of context @p tid is about to retire. */
     void noteRetire(ThreadID tid, const DynInst &inst);
+
+    /** The window audit alone (first violation, or empty); the core
+     *  also runs it every 1024 cycles. */
+    static std::string windowViolation(const SmtCore &core);
 
     bool failed() const { return total > 0; }
     uint64_t violationCount() const { return total; }

@@ -161,6 +161,42 @@ TEST(Experiment, PerfectTlbMechReusesBaseline)
     EXPECT_DOUBLE_EQ(r.penaltyPerMiss(), 0.0);
 }
 
+// Only the handler-thread mechanisms read idleThreads, so a Figure 5
+// row — traditional, multithreaded(1), multithreaded(3), hardware —
+// needs one perfect-TLB baseline, not one per idle-context count. The
+// shared baseline must still equal a fresh perfect-TLB run at each
+// cell's own idleThreads.
+TEST(Experiment, IdleThreadCountsShareOneBaseline)
+{
+    clearBaselineCache();
+    const std::pair<ExceptMech, unsigned> cells[] = {
+        {ExceptMech::Traditional, 0},
+        {ExceptMech::Multithreaded, 1},
+        {ExceptMech::Multithreaded, 3},
+        {ExceptMech::Hardware, 0},
+    };
+    for (const auto &[mech, idle] : cells) {
+        SimParams params;
+        params.maxInsts = 15000;
+        params.except.mech = mech;
+        params.except.idleThreads = idle;
+        PenaltyResult r = measurePenalty(params, {"compress"});
+
+        SimParams perfect = params;
+        perfect.except.mech = ExceptMech::PerfectTlb;
+        CoreResult fresh = runSimulation(perfect, {"compress"});
+        std::string cell = std::string(mechName(mech)) + "/" +
+                           std::to_string(idle);
+        EXPECT_TRUE(r.perfect.ok()) << cell;
+        EXPECT_EQ(r.perfect.cycles, fresh.cycles) << cell;
+        EXPECT_EQ(r.perfect.userInsts, fresh.userInsts) << cell;
+        EXPECT_EQ(r.perfect.measuredCycles, fresh.measuredCycles) << cell;
+        EXPECT_EQ(r.perfect.measuredInsts, fresh.measuredInsts) << cell;
+        EXPECT_EQ(r.perfect.ipc, fresh.ipc) << cell;
+    }
+    EXPECT_EQ(baselineCacheSize(), 1u);
+}
+
 TEST(Experiment, Figure7MixesAreValid)
 {
     const auto &mixes = figure7Mixes();
