@@ -20,6 +20,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/random.hh"
 #include "kernel/ffwd.hh"
 #include "kernel/funcmachine.hh"
 #include "sim/simulator.hh"
@@ -135,6 +136,157 @@ TEST(Ffwd, WarmTraceIsPurelyObservational)
     EXPECT_GT(trace.lineCount(), 0u);
     EXPECT_LE(trace.pageCount(), 64u);
     EXPECT_LE(trace.lineCount(), 1024u);
+}
+
+/**
+ * Naive reference for the WarmTrace contract: vectors ordered oldest
+ * touch first, linear-search membership, a re-touch moves the entry to
+ * the back (merging line flags), an over-cap insert drops the front.
+ */
+struct ReferenceWarmTrace
+{
+    size_t maxPages, maxLines;
+    std::vector<WarmPage> pages;
+    std::vector<WarmLine> lines;
+
+    void
+    touchPage(Asn asn, Addr vpn)
+    {
+        if (maxPages == 0)
+            return;
+        auto key = [](const WarmPage &p) {
+            return (uint64_t(p.asn) << 48) ^ p.vpn;
+        };
+        WarmPage page{asn, vpn};
+        auto it = std::find_if(pages.begin(), pages.end(),
+                               [&](const WarmPage &p) {
+                                   return key(p) == key(page);
+                               });
+        if (it != pages.end()) {
+            page = *it;
+            pages.erase(it);
+        }
+        pages.push_back(page);
+        if (pages.size() > maxPages)
+            pages.erase(pages.begin());
+    }
+
+    void
+    touchLine(Addr pa, bool data, bool fetch, bool dirty)
+    {
+        if (maxLines == 0)
+            return;
+        WarmLine line{pa / WarmGrainBytes, data, fetch, dirty};
+        auto it = std::find_if(lines.begin(), lines.end(),
+                               [&](const WarmLine &l) {
+                                   return l.grain == line.grain;
+                               });
+        if (it != lines.end()) {
+            line.data = line.data || it->data;
+            line.fetch = line.fetch || it->fetch;
+            line.dirty = line.dirty || it->dirty;
+            lines.erase(it);
+        }
+        lines.push_back(line);
+        if (lines.size() > maxLines)
+            lines.erase(lines.begin());
+    }
+
+    void
+    touchData(Asn asn, Addr va, Addr pte_pa, Addr pa, bool dirty)
+    {
+        touchPage(asn, pageNum(va));
+        touchLine(pte_pa, true, false, false);
+        touchLine(pa, true, false, dirty);
+    }
+
+    void touchFetch(Addr pa) { touchLine(pa, false, true, false); }
+};
+
+void
+expectSameExport(const WarmTrace &trace, const ReferenceWarmTrace &ref,
+                 uint64_t op)
+{
+    std::vector<WarmPage> pages;
+    std::vector<WarmLine> lines;
+    trace.exportState(pages, lines);
+    ASSERT_EQ(pages.size(), ref.pages.size()) << "after op " << op;
+    ASSERT_EQ(lines.size(), ref.lines.size()) << "after op " << op;
+    EXPECT_EQ(trace.pageCount(), pages.size());
+    EXPECT_EQ(trace.lineCount(), lines.size());
+    for (size_t i = 0; i < pages.size(); ++i) {
+        ASSERT_EQ(pages[i].asn, ref.pages[i].asn) << "page " << i;
+        ASSERT_EQ(pages[i].vpn, ref.pages[i].vpn) << "page " << i;
+    }
+    for (size_t i = 0; i < lines.size(); ++i) {
+        ASSERT_EQ(lines[i].grain, ref.lines[i].grain) << "line " << i;
+        ASSERT_EQ(lines[i].data, ref.lines[i].data) << "line " << i;
+        ASSERT_EQ(lines[i].fetch, ref.lines[i].fetch) << "line " << i;
+        ASSERT_EQ(lines[i].dirty, ref.lines[i].dirty) << "line " << i;
+    }
+}
+
+TEST(Ffwd, WarmTraceMatchesReferenceLru)
+{
+    // Small caps and small key pools: keys repeat (re-touch moves and
+    // flag merges), the pools exceed the caps (steady eviction), and
+    // occasional far keys punch holes in the recency order. The
+    // exports must match the naive model entry for entry, in order.
+    const struct
+    {
+        size_t pages, lines;
+    } caps[] = {{8, 64}, {1, 1}, {0, 64}, {8, 0}, {64, 300}};
+
+    for (const auto &cap : caps) {
+        SCOPED_TRACE(::testing::Message() << cap.pages << " pages, "
+                                          << cap.lines << " lines");
+        WarmTrace trace(cap.pages, cap.lines);
+        ReferenceWarmTrace ref{cap.pages, cap.lines, {}, {}};
+        Rng rng(0x5eed0000 + cap.pages * 131 + cap.lines);
+
+        const uint64_t ops = 20000;
+        for (uint64_t op = 0; op < ops; ++op) {
+            // Grain-aligned and unaligned addresses over ~2x the line
+            // cap; every 50th access lands far away.
+            Addr span = Addr(cap.lines * 2 + 16) * WarmGrainBytes;
+            Addr pa = rng.below(span);
+            if (rng.below(50) == 0)
+                pa += Addr(1) << 40;
+            if (rng.chance(0.3)) {
+                trace.touchFetch(pa);
+                ref.touchFetch(pa);
+            } else {
+                Asn asn = Asn(rng.below(3));
+                Addr va = rng.below(cap.pages * 2 + 4) * PageBytes +
+                          rng.below(PageBytes);
+                Addr pte_pa = 0x100000 + rng.below(cap.lines + 8) * 8;
+                bool dirty = rng.chance(0.25);
+                trace.touchData(asn, va, pte_pa, pa, dirty);
+                ref.touchData(asn, va, pte_pa, pa, dirty);
+            }
+            if (op % 997 == 0 || op + 1 == ops) {
+                expectSameExport(trace, ref, op);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+            ASSERT_LE(trace.pageCount(), cap.pages);
+            ASSERT_LE(trace.lineCount(), cap.lines);
+        }
+        // The streams were long enough to fill the caps.
+        EXPECT_EQ(trace.pageCount(), cap.pages);
+        EXPECT_EQ(trace.lineCount(), cap.lines);
+
+        trace.clear();
+        EXPECT_EQ(trace.pageCount(), 0u);
+        EXPECT_EQ(trace.lineCount(), 0u);
+        // Usable again after clear(), starting from an empty order.
+        trace.touchFetch(0x40);
+        std::vector<WarmPage> pages;
+        std::vector<WarmLine> lines;
+        trace.exportState(pages, lines);
+        EXPECT_TRUE(pages.empty());
+        EXPECT_EQ(lines.size(), cap.lines ? 1u : 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -215,6 +216,93 @@ INSTANTIATE_TEST_SUITE_P(
     SmtLimitAndEmulation, GoldenPathTest, ::testing::ValuesIn(goldenPaths),
     [](const ::testing::TestParamInfo<GoldenPath> &info) {
         return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------
+// Fast-forwarded and sampled runs: the functional engine (superblock
+// replay and the warm-state trace) decides where the detailed core
+// starts and what it finds resident, so a change to the interpreter or
+// to the warm-state LRU order moves these checksums.
+// ---------------------------------------------------------------------
+
+struct GoldenFfwd
+{
+    ExceptMech mech;
+    uint64_t ffwdDumpChecksum; //!< stat dump after ffwd.insts + warm
+    uint64_t sampledChecksum;  //!< sampled run's CoreResult fields
+};
+
+std::string
+ffwdStatDump(ExceptMech mech)
+{
+    SimParams params = goldenParams(mech);
+    params.ffwd.insts = 300000;
+    params.ffwd.warm = true;
+    return statDump(params, {benchmarkParams("compress")});
+}
+
+/** cycles, userInsts, sampling.ffwdInsts and the bits of the means. */
+std::string
+sampledResultKey(ExceptMech mech)
+{
+    SimParams params = goldenParams(mech);
+    params.maxInsts = 400000;
+    params.sample.periodInsts = 40000;
+    params.sample.detailInsts = 4000;
+    params.sample.warmupInsts = 1000;
+    Simulator sim(params, std::vector<std::string>{"compress"});
+    CoreResult r = sim.run();
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.sampling.samples, 10u);
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%llu|%llu|%llu|%016llx|%016llx|%016llx",
+                  (unsigned long long)r.cycles,
+                  (unsigned long long)r.userInsts,
+                  (unsigned long long)r.sampling.ffwdInsts,
+                  (unsigned long long)std::bit_cast<uint64_t>(
+                      r.sampling.ipcMean),
+                  (unsigned long long)std::bit_cast<uint64_t>(
+                      r.sampling.ipcCi95),
+                  (unsigned long long)std::bit_cast<uint64_t>(
+                      r.sampling.mpkMean));
+    return buf;
+}
+
+// Pinned like goldenTable; a mismatch prints the actual checksum.
+const GoldenFfwd goldenFfwd[] = {
+    {ExceptMech::Traditional, 0x6c7e29dda5faf9d6ULL, 0x6ceb466c7d37fcc8ULL},
+    {ExceptMech::Multithreaded, 0x02d36d4dc30bd368ULL,
+     0x17851f6875f40fe5ULL},
+};
+
+class GoldenFfwdTest : public ::testing::TestWithParam<GoldenFfwd>
+{};
+
+TEST_P(GoldenFfwdTest, FastForwardedStatDumpChecksumMatches)
+{
+    const GoldenFfwd &point = GetParam();
+    uint64_t actual = fnv1a(ffwdStatDump(point.mech));
+    EXPECT_EQ(actual, point.ffwdDumpChecksum)
+        << mechName(point.mech) << " fast-forwarded stat dump changed; "
+        << "if intended, update goldenFfwd to {..., "
+        << hexChecksum(actual) << "ULL, ...}";
+}
+
+TEST_P(GoldenFfwdTest, SampledResultChecksumMatches)
+{
+    const GoldenFfwd &point = GetParam();
+    std::string key = sampledResultKey(point.mech);
+    uint64_t actual = fnv1a(key);
+    EXPECT_EQ(actual, point.sampledChecksum)
+        << mechName(point.mech) << " sampled result changed (" << key
+        << "); if intended, update goldenFfwd to {..., "
+        << hexChecksum(actual) << "ULL}";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FastForwardAndSampling, GoldenFfwdTest, ::testing::ValuesIn(goldenFfwd),
+    [](const ::testing::TestParamInfo<GoldenFfwd> &info) {
+        return std::string(mechName(info.param.mech));
     });
 
 // ---------------------------------------------------------------------
