@@ -179,22 +179,15 @@ SmtCore::onHardexcExecute(const InstPtr &inst)
            int(ctx.id), int(record->master));
 
     ThreadCtx &master = *contexts[record->master];
-    InstPtr fault = record->faultInst;
-    Addr fault_va = fault->effVa;
-    Addr fault_pc = fault->pc;
-    BpredCheckpoint chk = fault->bpChk;
+    InstPtr fault = record->faultInst; // outlives the squash
 
     ++trapSquashes;
     squashFrom(master, fault->seq); // also reclaims this handler ctx
-    bpred->restore(master.id, chk);
-    seedPrivRegs(master, master, fault_va, fault_pc);
-    master.pendingReturnPc = fault_pc;
-    master.fetchPal = true;
-    master.fetchPc = pal.dtbMissEntry;
+    enterInlineHandler(master, *fault, ExcKind::TlbMiss);
     // The reversion re-runs the handling inline: open a fresh trap
     // handling on the master (the reversion path bypasses
     // trapTraditional, which would otherwise emit this).
-    obsEmitTid(obs::EventKind::Trap, master.id, pageNum(fault_va),
+    obsEmitTid(obs::EventKind::Trap, master.id, pageNum(fault->effVa),
                fault->seq);
 }
 
@@ -485,25 +478,31 @@ SmtCore::trapTraditional(const InstPtr &inst, ExcKind kind)
     obsEmit(obs::EventKind::Trap, *inst,
             kind == ExcKind::TlbMiss ? pageNum(inst->effVa) : 0,
             kind == ExcKind::EmulFsqrt ? obs::EvEmul : 0);
-    Addr fault_va = inst->effVa;
-    Addr fault_pc = inst->pc;
-    BpredCheckpoint chk = inst->bpChk;
     DynInst fault_copy = *inst; // survives the squash for seeding
 
     // Squash the excepting instruction and everything younger
     // (paper Figure 1a), then fetch the handler inline.
     squashFrom(ctx, inst->seq);
-    bpred->restore(ctx.id, chk);
+    enterInlineHandler(ctx, fault_copy, kind);
+}
+
+void
+SmtCore::enterInlineHandler(ThreadCtx &ctx, const DynInst &fault,
+                            ExcKind kind)
+{
+    bpred->restore(ctx.id, fault.bpChk);
     if (kind == ExcKind::TlbMiss) {
-        seedPrivRegs(ctx, ctx, fault_va, fault_pc);
+        seedPrivRegs(ctx, ctx, fault.effVa, fault.pc);
         // Refetch restarts at the excepting instruction.
-        ctx.pendingReturnPc = fault_pc;
+        ctx.pendingReturnPc = fault.pc;
     } else {
-        seedEmulRegs(ctx, fault_copy);
+        seedEmulRegs(ctx, fault);
         // The emulated instruction is completed by the handler
         // (EMULWR); execution resumes *after* it.
-        ctx.pendingReturnPc = fault_pc + 4;
+        ctx.pendingReturnPc = fault.pc + 4;
     }
+    // Fetch marks the handler's RFE by this kind: a stale EmulFsqrt
+    // would retire a DTB-miss handler as a finished emulation.
     ctx.pendingExcKind = kind;
     ctx.fetchPal = true;
     ctx.fetchPc = handlerEntry(kind);

@@ -355,6 +355,10 @@ class SmtCore : public stats::StatGroup
     void onEmulFault(const InstPtr &inst);
     void spawnMtHandler(const InstPtr &inst, ExcKind kind);
     void trapTraditional(const InstPtr &inst, ExcKind kind);
+    /** After the squash, point @p ctx at the inline handler for
+     *  @p fault: shared by the trap and by the HARDEXC reversion. */
+    void enterInlineHandler(ThreadCtx &ctx, const DynInst &fault,
+                            ExcKind kind);
     void onEmulwrExecute(const InstPtr &inst);
     Addr handlerEntry(ExcKind kind) const;
     unsigned handlerLen(ExcKind kind) const;
