@@ -21,12 +21,12 @@ namespace zmt
 {
 
 /**
- * ExecContext adapter used at dispatch: reads and writes the thread's
+ * ExecContext model used at dispatch: reads and writes the thread's
  * speculative state, captures undo info and side effects into the
  * DynInst. PAL-mode instructions use the context's shadow integer
  * registers and physical addressing, mirroring Alpha PALcode.
  */
-class DispatchContext : public ExecContext
+class DispatchContext final
 {
   public:
     DispatchContext(SmtCore &core, SmtCore::ThreadCtx &ctx, DynInst &inst)
@@ -34,7 +34,7 @@ class DispatchContext : public ExecContext
     {}
 
     uint64_t
-    readIntReg(unsigned reg) override
+    readIntReg(unsigned reg)
     {
         if (reg == isa::ZeroReg)
             return 0;
@@ -42,7 +42,7 @@ class DispatchContext : public ExecContext
     }
 
     void
-    writeIntReg(unsigned reg, uint64_t value) override
+    writeIntReg(unsigned reg, uint64_t value)
     {
         if (reg == isa::ZeroReg)
             return;
@@ -56,13 +56,13 @@ class DispatchContext : public ExecContext
     }
 
     uint64_t
-    readFpReg(unsigned reg) override
+    readFpReg(unsigned reg)
     {
         return ctx.arch.readFp(reg);
     }
 
     void
-    writeFpReg(unsigned reg, uint64_t value) override
+    writeFpReg(unsigned reg, uint64_t value)
     {
         if (reg == isa::ZeroReg)
             return;
@@ -71,23 +71,23 @@ class DispatchContext : public ExecContext
     }
 
     uint64_t
-    readPrivReg(isa::PrivReg pr) override
+    readPrivReg(isa::PrivReg pr)
     {
         return ctx.arch.readPriv(pr);
     }
 
     void
-    writePrivReg(isa::PrivReg pr, uint64_t value) override
+    writePrivReg(isa::PrivReg pr, uint64_t value)
     {
         recordUndo(RegFileKind::Priv, unsigned(pr),
                    ctx.arch.readPriv(pr));
         ctx.arch.writePriv(pr, value);
     }
 
-    Addr pc() const override { return inst.pc; }
+    Addr pc() const { return inst.pc; }
 
     uint64_t
-    readMem(Addr addr, unsigned size) override
+    readMem(Addr addr, unsigned size)
     {
         inst.effVa = addr;
         if (inst.palMode) {
@@ -117,7 +117,7 @@ class DispatchContext : public ExecContext
     }
 
     void
-    writeMem(Addr addr, unsigned size, uint64_t value) override
+    writeMem(Addr addr, unsigned size, uint64_t value)
     {
         inst.effVa = addr;
         inst.storeValue = value;
@@ -139,23 +139,23 @@ class DispatchContext : public ExecContext
     }
 
     void
-    setNextPc(Addr target) override
+    setNextPc(Addr target)
     {
         inst.actTaken = true;
         inst.actTarget = target;
     }
 
     void
-    tlbWrite(uint64_t tag, uint64_t data) override
+    tlbWrite(uint64_t tag, uint64_t data)
     {
         inst.tlbTag = tag;
         inst.tlbData = data;
     }
 
     // Timing-level effects of these happen at execute, not dispatch.
-    void returnFromException() override {}
-    void raiseHardException() override {}
-    void halt() override {}
+    void returnFromException() {}
+    void raiseHardException() {}
+    void halt() {}
 
   private:
     void
@@ -173,6 +173,8 @@ class DispatchContext : public ExecContext
     SmtCore::ThreadCtx &ctx;
     DynInst &inst;
 };
+
+static_assert(ExecContext<DispatchContext>);
 
 void
 SmtCore::functionalExecute(ThreadCtx &ctx, const InstPtr &inst)

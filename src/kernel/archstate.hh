@@ -1,16 +1,18 @@
 /**
  * @file
  * Architectural register state for one hardware context, and the
- * ExecContext interface through which the shared instruction emulator
- * reads and writes machine state. Both the functional reference
- * machine and the timing core implement ExecContext; the instruction
- * semantics live in exactly one place (emulator.cc).
+ * ExecContext concept: the machine-state access the shared instruction
+ * emulator needs. Both the functional reference machine and the timing
+ * core's dispatch context model ExecContext; the emulator is a function
+ * template over it (emulator.hh), so every access is a direct, inlinable
+ * call and the instruction semantics still live in exactly one place.
  */
 
 #ifndef ZMT_KERNEL_ARCHSTATE_HH
 #define ZMT_KERNEL_ARCHSTATE_HH
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -59,42 +61,38 @@ struct ArchState
 };
 
 /**
- * Abstract machine-state access used by the emulator. Implementations:
- * the functional reference machine (FuncMachine) and the timing core's
- * speculative dispatch-time context.
+ * Machine-state access used by the emulator. Models: the functional
+ * reference machine (FuncMachine) and the timing core's speculative
+ * dispatch-time context.
+ *
+ *  - readIntReg/writeIntReg, readFpReg/writeFpReg (IEEE-754 bits),
+ *    readPrivReg/writePrivReg: register files.
+ *  - pc(): PC of the instruction being executed.
+ *  - readMem/writeMem: in user mode the address is virtual; in PAL mode
+ *    it is physical (KSEG-style direct mapping, as in Alpha PALcode).
+ *    Loads of unmapped user addresses return 0 (wrong-path garbage).
+ *  - setNextPc: control transfer, only called when taken.
+ *  - tlbWrite, returnFromException, raiseHardException, halt:
+ *    privileged effects.
  */
-class ExecContext
-{
-  public:
-    virtual ~ExecContext() = default;
-
-    virtual uint64_t readIntReg(unsigned reg) = 0;
-    virtual void writeIntReg(unsigned reg, uint64_t value) = 0;
-    virtual uint64_t readFpReg(unsigned reg) = 0;
-    virtual void writeFpReg(unsigned reg, uint64_t value) = 0;
-
-    virtual uint64_t readPrivReg(isa::PrivReg pr) = 0;
-    virtual void writePrivReg(isa::PrivReg pr, uint64_t value) = 0;
-
-    /** PC of the instruction being executed. */
-    virtual Addr pc() const = 0;
-
-    /**
-     * Memory access. In user mode the address is virtual; in PAL mode
-     * it is physical (KSEG-style direct mapping, as in Alpha PALcode).
-     * Loads of unmapped user addresses return 0 (wrong-path garbage).
-     */
-    virtual uint64_t readMem(Addr addr, unsigned size) = 0;
-    virtual void writeMem(Addr addr, unsigned size, uint64_t value) = 0;
-
-    /** Control transfer: the next PC (only called when taken). */
-    virtual void setNextPc(Addr target) = 0;
-
-    /** Privileged effects. */
-    virtual void tlbWrite(uint64_t tag, uint64_t data) = 0;
-    virtual void returnFromException() = 0;
-    virtual void raiseHardException() = 0;
-    virtual void halt() = 0;
+template <typename C>
+concept ExecContext = requires(C &ctx, const C &cctx, unsigned reg,
+                               uint64_t value, isa::PrivReg pr, Addr addr,
+                               unsigned size) {
+    { ctx.readIntReg(reg) } -> std::same_as<uint64_t>;
+    ctx.writeIntReg(reg, value);
+    { ctx.readFpReg(reg) } -> std::same_as<uint64_t>;
+    ctx.writeFpReg(reg, value);
+    { ctx.readPrivReg(pr) } -> std::same_as<uint64_t>;
+    ctx.writePrivReg(pr, value);
+    { cctx.pc() } -> std::same_as<Addr>;
+    { ctx.readMem(addr, size) } -> std::same_as<uint64_t>;
+    ctx.writeMem(addr, size, value);
+    ctx.setNextPc(addr);
+    ctx.tlbWrite(value, value);
+    ctx.returnFromException();
+    ctx.raiseHardException();
+    ctx.halt();
 };
 
 } // namespace zmt

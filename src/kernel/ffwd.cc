@@ -11,54 +11,13 @@ namespace zmt
 // WarmTrace
 
 void
-WarmTrace::touchPage(Asn asn, Addr vpn)
-{
-    if (maxPages == 0)
-        return;
-    uint64_t k = (uint64_t(asn) << 48) ^ vpn;
-    if (auto it = pageIndex.find(k); it != pageIndex.end()) {
-        // Re-touch: move to most-recent position.
-        pageOrder.splice(pageOrder.end(), pageOrder, it->second);
-        return;
-    }
-    pageOrder.push_back({asn, vpn});
-    pageIndex[k] = std::prev(pageOrder.end());
-    if (pageOrder.size() > maxPages) {
-        uint64_t victim =
-            (uint64_t(pageOrder.front().asn) << 48) ^ pageOrder.front().vpn;
-        pageIndex.erase(victim);
-        pageOrder.pop_front();
-    }
-}
-
-void
-WarmTrace::touchLine(Addr pa, bool data, bool fetch, bool dirty)
-{
-    if (maxLines == 0)
-        return;
-    Addr grain = pa / WarmGrainBytes;
-    if (auto it = lineIndex.find(grain); it != lineIndex.end()) {
-        WarmLine &line = *it->second;
-        line.data = line.data || data;
-        line.fetch = line.fetch || fetch;
-        line.dirty = line.dirty || dirty;
-        lineOrder.splice(lineOrder.end(), lineOrder, it->second);
-        return;
-    }
-    lineOrder.push_back({grain, data, fetch, dirty});
-    lineIndex[grain] = std::prev(lineOrder.end());
-    if (lineOrder.size() > maxLines) {
-        lineIndex.erase(lineOrder.front().grain);
-        lineOrder.pop_front();
-    }
-}
-
-void
 WarmTrace::exportState(std::vector<WarmPage> &pages,
                        std::vector<WarmLine> &lines) const
 {
-    pages.insert(pages.end(), pageOrder.begin(), pageOrder.end());
-    lines.insert(lines.end(), lineOrder.begin(), lineOrder.end());
+    pageSet.forEachOldestFirst(
+        [&](const WarmPage &page) { pages.push_back(page); });
+    lineSet.forEachOldestFirst(
+        [&](const WarmLine &line) { lines.push_back(line); });
 }
 
 // --------------------------------------------------------------------
@@ -119,9 +78,11 @@ SuperblockCache::build(Process &proc, const PhysMem &mem, Addr pc)
 
 // --------------------------------------------------------------------
 // FuncMachine::runFast — here rather than funcmachine.cc so the
-// interpreter core stays free of translation-cache concerns.
+// interpreter core stays free of translation-cache concerns. flatten
+// inlines the interpreter and the fetch-grain touches into the replay
+// loop; loads and stores still call readMem/writeMem.
 
-uint64_t
+[[gnu::flatten]] uint64_t
 FuncMachine::runFast(uint64_t max_insts, SuperblockCache &blocks)
 {
     uint64_t executed = 0;

@@ -19,15 +19,20 @@
  * results. It keeps bounded MRU sets of touched (asn, vpn) pages and
  * 32-byte line grains; exporting oldest-first lets warmInstall /
  * warmInsert replay reconstruct the LRU order a real run would have.
+ * Each set is a FlatLru: nodes in one vector, linked by index into a
+ * recency list, found through an open-addressed index, so a touch
+ * never allocates once the working set has been seen.
  */
 
 #ifndef ZMT_KERNEL_FFWD_HH
 #define ZMT_KERNEL_FFWD_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -54,6 +59,172 @@ struct WarmLine
 };
 
 /**
+ * Bounded LRU set of @p Entry keyed by a 64-bit key. Nodes live in one
+ * vector and form a doubly linked recency list by index (head = oldest
+ * touch); an open-addressed, linear-probing, power-of-two index maps
+ * keys to nodes. Both arrays grow with the number of distinct keys
+ * seen, never beyond what the cap needs, and at the cap an insert
+ * reuses the evicted oldest node, so a steady-state touch is a hash
+ * probe and a few index writes.
+ */
+template <typename Entry>
+class FlatLru
+{
+  public:
+    explicit FlatLru(size_t cap) : cap(cap) {}
+
+    size_t capacity() const { return cap; }
+    size_t size() const { return nodes.size(); }
+
+    /**
+     * Make @p key the most recent entry, evicting the oldest when an
+     * insert would exceed the cap. @pre capacity() > 0.
+     * @return the entry (value-initialised when new) and whether it
+     *         was inserted by this call
+     */
+    std::pair<Entry *, bool>
+    touch(uint64_t key)
+    {
+        // Re-touching the newest entry leaves the order unchanged.
+        if (tail != Nil && nodes[tail].key == key)
+            return {&nodes[tail].entry, false};
+        if (!slots.empty()) {
+            for (size_t i = home(key);; i = (i + 1) & mask()) {
+                uint32_t n = slots[i];
+                if (n == Nil)
+                    break;
+                if (nodes[n].key == key) {
+                    unlink(n);
+                    append(n);
+                    return {&nodes[n].entry, false};
+                }
+            }
+        }
+
+        uint32_t n;
+        if (nodes.size() < cap) {
+            // Keep the index at most half full.
+            if ((nodes.size() + 1) * 2 > slots.size())
+                rehash(std::max<size_t>(16, slots.size() * 2));
+            n = uint32_t(nodes.size());
+            nodes.push_back({});
+        } else {
+            n = head;
+            unlink(n);
+            unindex(n);
+            nodes[n].entry = {};
+        }
+        nodes[n].key = key;
+        index(n);
+        append(n);
+        return {&nodes[n].entry, true};
+    }
+
+    /** Visit every entry, oldest touch first. */
+    template <typename Fn>
+    void
+    forEachOldestFirst(Fn fn) const
+    {
+        for (uint32_t n = head; n != Nil; n = nodes[n].next)
+            fn(nodes[n].entry);
+    }
+
+    void
+    clear()
+    {
+        nodes.clear();
+        std::fill(slots.begin(), slots.end(), Nil);
+        head = tail = Nil;
+    }
+
+  private:
+    static constexpr uint32_t Nil = ~uint32_t{0};
+
+    struct Node
+    {
+        uint64_t key = 0;
+        uint32_t prev = Nil;
+        uint32_t next = Nil;
+        Entry entry{};
+    };
+
+    size_t mask() const { return slots.size() - 1; }
+
+    /** Fibonacci hashing: the top bits of the product depend on every
+     *  key bit, so sequential grains and ASN-tagged pages spread. */
+    size_t
+    home(uint64_t key) const
+    {
+        return size_t((key * 0x9e3779b97f4a7c15ULL) >> shift);
+    }
+
+    void
+    index(uint32_t n)
+    {
+        size_t i = home(nodes[n].key);
+        while (slots[i] != Nil)
+            i = (i + 1) & mask();
+        slots[i] = n;
+    }
+
+    /** Remove node @p n from the index by backward-shift deletion,
+     *  which keeps every probe chain gap-free without tombstones. */
+    void
+    unindex(uint32_t n)
+    {
+        size_t i = home(nodes[n].key);
+        while (slots[i] != n)
+            i = (i + 1) & mask();
+        for (size_t j = (i + 1) & mask(); slots[j] != Nil;
+             j = (j + 1) & mask()) {
+            // Move slot j into the hole at i unless its home lies
+            // cyclically in (i, j], where the hole does not break it.
+            size_t h = home(nodes[slots[j]].key);
+            bool stays = i < j ? (h > i && h <= j) : (h > i || h <= j);
+            if (!stays) {
+                slots[i] = slots[j];
+                i = j;
+            }
+        }
+        slots[i] = Nil;
+    }
+
+    /** @pre @p slot_count is a power of two. */
+    void
+    rehash(size_t slot_count)
+    {
+        slots.assign(slot_count, Nil);
+        shift = 64 - unsigned(std::countr_zero(slot_count));
+        for (uint32_t n = 0; n < nodes.size(); ++n)
+            index(n);
+    }
+
+    void
+    unlink(uint32_t n)
+    {
+        Node &node = nodes[n];
+        (node.prev == Nil ? head : nodes[node.prev].next) = node.next;
+        (node.next == Nil ? tail : nodes[node.next].prev) = node.prev;
+    }
+
+    void
+    append(uint32_t n)
+    {
+        nodes[n].prev = tail;
+        nodes[n].next = Nil;
+        (tail == Nil ? head : nodes[tail].next) = n;
+        tail = n;
+    }
+
+    size_t cap;
+    std::vector<Node> nodes;
+    std::vector<uint32_t> slots; //!< node number or Nil
+    unsigned shift = 64;         //!< 64 - log2(slots.size())
+    uint32_t head = Nil;         //!< oldest touch
+    uint32_t tail = Nil;         //!< newest touch
+};
+
+/**
  * Warm-trace granularity: the smallest line size in the hierarchy, so
  * one grain never spans two L1 lines. Coarser caches simply see
  * several grains land in the same line.
@@ -73,7 +244,7 @@ class WarmTrace
      * @param max_lines  line grains retained (0 disables line tracking)
      */
     WarmTrace(size_t max_pages, size_t max_lines)
-        : maxPages(max_pages), maxLines(max_lines)
+        : pageSet(max_pages), lineSet(max_lines)
     {}
 
     /**
@@ -99,30 +270,43 @@ class WarmTrace
     void exportState(std::vector<WarmPage> &pages,
                      std::vector<WarmLine> &lines) const;
 
-    size_t pageCount() const { return pageOrder.size(); }
-    size_t lineCount() const { return lineOrder.size(); }
+    size_t pageCount() const { return pageSet.size(); }
+    size_t lineCount() const { return lineSet.size(); }
 
     void
     clear()
     {
-        pageOrder.clear();
-        pageIndex.clear();
-        lineOrder.clear();
-        lineIndex.clear();
+        pageSet.clear();
+        lineSet.clear();
     }
 
   private:
-    void touchPage(Asn asn, Addr vpn);
-    void touchLine(Addr pa, bool data, bool fetch, bool dirty);
+    void
+    touchPage(Asn asn, Addr vpn)
+    {
+        if (pageSet.capacity() == 0)
+            return;
+        // A re-touch keeps the entry recorded first under this key.
+        auto [page, inserted] = pageSet.touch((uint64_t(asn) << 48) ^ vpn);
+        if (inserted)
+            *page = {asn, vpn};
+    }
 
-    size_t maxPages;
-    size_t maxLines;
+    void
+    touchLine(Addr pa, bool data, bool fetch, bool dirty)
+    {
+        if (lineSet.capacity() == 0)
+            return;
+        Addr grain = pa / WarmGrainBytes;
+        WarmLine &line = *lineSet.touch(grain).first;
+        line.grain = grain;
+        line.data = line.data || data;
+        line.fetch = line.fetch || fetch;
+        line.dirty = line.dirty || dirty;
+    }
 
-    // MRU lists (front = oldest) with O(1) membership via iterator maps.
-    std::list<WarmPage> pageOrder;
-    std::unordered_map<uint64_t, std::list<WarmPage>::iterator> pageIndex;
-    std::list<WarmLine> lineOrder;
-    std::unordered_map<Addr, std::list<WarmLine>::iterator> lineIndex;
+    FlatLru<WarmPage> pageSet;
+    FlatLru<WarmLine> lineSet;
 };
 
 /**

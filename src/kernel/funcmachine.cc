@@ -45,42 +45,6 @@ FuncMachine::run(uint64_t max_insts)
 }
 
 uint64_t
-FuncMachine::readIntReg(unsigned reg)
-{
-    return archState.readInt(reg);
-}
-
-void
-FuncMachine::writeIntReg(unsigned reg, uint64_t value)
-{
-    archState.writeInt(reg, value);
-}
-
-uint64_t
-FuncMachine::readFpReg(unsigned reg)
-{
-    return archState.readFp(reg);
-}
-
-void
-FuncMachine::writeFpReg(unsigned reg, uint64_t value)
-{
-    archState.writeFp(reg, value);
-}
-
-uint64_t
-FuncMachine::readPrivReg(isa::PrivReg pr)
-{
-    return archState.readPriv(pr);
-}
-
-void
-FuncMachine::writePrivReg(isa::PrivReg pr, uint64_t value)
-{
-    archState.writePriv(pr, value);
-}
-
-uint64_t
 FuncMachine::readMem(Addr addr, unsigned size)
 {
     if (archState.palMode)
@@ -122,19 +86,6 @@ FuncMachine::writeMem(Addr addr, unsigned size, uint64_t value)
 }
 
 void
-FuncMachine::setNextPc(Addr target)
-{
-    nextPc = target;
-}
-
-void
-FuncMachine::tlbWrite(uint64_t tag, uint64_t data)
-{
-    // The functional machine has perfect translation; TLB writes are
-    // timing-only effects.
-}
-
-void
 FuncMachine::returnFromException()
 {
     // Never reached: the functional machine takes no TLB misses.
@@ -145,12 +96,6 @@ void
 FuncMachine::raiseHardException()
 {
     panic("HARDEXC executed on the functional machine");
-}
-
-void
-FuncMachine::halt()
-{
-    isHalted = true;
 }
 
 } // namespace zmt

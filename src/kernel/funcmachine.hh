@@ -44,8 +44,8 @@ struct ArchResult
     }
 };
 
-/** Functional interpreter for one process. */
-class FuncMachine : public ExecContext
+/** Functional interpreter for one process; models ExecContext. */
+class FuncMachine final
 {
   public:
     FuncMachine(Process &proc, PhysMem &mem);
@@ -87,21 +87,34 @@ class FuncMachine : public ExecContext
     uint64_t executed() const { return result.instsExecuted; }
     uint64_t storeHash() const { return result.storeHash; }
 
-    // ExecContext interface ------------------------------------------
-    uint64_t readIntReg(unsigned reg) override;
-    void writeIntReg(unsigned reg, uint64_t value) override;
-    uint64_t readFpReg(unsigned reg) override;
-    void writeFpReg(unsigned reg, uint64_t value) override;
-    uint64_t readPrivReg(isa::PrivReg pr) override;
-    void writePrivReg(isa::PrivReg pr, uint64_t value) override;
-    Addr pc() const override { return archState.pc; }
-    uint64_t readMem(Addr addr, unsigned size) override;
-    void writeMem(Addr addr, unsigned size, uint64_t value) override;
-    void setNextPc(Addr target) override;
-    void tlbWrite(uint64_t tag, uint64_t data) override;
-    void returnFromException() override;
-    void raiseHardException() override;
-    void halt() override;
+    // ExecContext model -----------------------------------------------
+    uint64_t readIntReg(unsigned reg) { return archState.readInt(reg); }
+    void
+    writeIntReg(unsigned reg, uint64_t value)
+    {
+        archState.writeInt(reg, value);
+    }
+    uint64_t readFpReg(unsigned reg) { return archState.readFp(reg); }
+    void
+    writeFpReg(unsigned reg, uint64_t value)
+    {
+        archState.writeFp(reg, value);
+    }
+    uint64_t readPrivReg(isa::PrivReg pr) { return archState.readPriv(pr); }
+    void
+    writePrivReg(isa::PrivReg pr, uint64_t value)
+    {
+        archState.writePriv(pr, value);
+    }
+    Addr pc() const { return archState.pc; }
+    uint64_t readMem(Addr addr, unsigned size);
+    void writeMem(Addr addr, unsigned size, uint64_t value);
+    void setNextPc(Addr target) { nextPc = target; }
+    /** Perfect translation: TLB writes are timing-only effects. */
+    void tlbWrite(uint64_t tag, uint64_t data) {}
+    void returnFromException();
+    void raiseHardException();
+    void halt() { isHalted = true; }
 
     Process &process() { return proc; }
 
@@ -114,6 +127,8 @@ class FuncMachine : public ExecContext
     bool isHalted = false;
     WarmTrace *warmTrace = nullptr;
 };
+
+static_assert(ExecContext<FuncMachine>);
 
 } // namespace zmt
 
