@@ -229,13 +229,23 @@ TEST(Emulator, AddSubChain)
     EXPECT_EQ(result.instsExecuted, 5u);
 }
 
-/** Parameterized integer-ALU semantics vs native reference. */
+/**
+ * Parameterized integer-ALU semantics vs native reference.
+ *
+ * ctest names each case after gtest's byte dump of its AluCase. The seven
+ * bytes after the opcode used to be padding, holding whatever the stack
+ * held, so under ASLR a case's name changed from one test listing to the
+ * next. `fill` makes them a member, set to the bytes the cases have been
+ * registered under, so every build lists the same names.
+ */
 struct AluCase
 {
     Opcode op;
+    std::array<uint8_t, 7> fill;
     uint64_t a, b;
     uint64_t expected;
 };
+static_assert(sizeof(AluCase) == 32);
 
 class AluSemanticsTest : public ::testing::TestWithParam<AluCase>
 {};
@@ -261,28 +271,29 @@ aluCases()
     std::vector<AluCase> cases;
     Rng rng(0xa1);
     auto s64 = [](uint64_t v) { return int64_t(v); };
+    constexpr std::array<uint8_t, 7> fill{0x00, 0x01, 0x1b, 0x03,
+                                          0x3b, 0x2c, 0x00};
     for (int i = 0; i < 12; ++i) {
         uint64_t a = rng.next(), b = rng.next();
         if (i == 0) { a = 0; b = 0; }
         if (i == 1) { a = ~0ull; b = 1; }
         if (i == 2) { a = 0x8000000000000000ull; b = 1; }
-        cases.push_back({Opcode::Add, a, b, a + b});
-        cases.push_back({Opcode::Sub, a, b, a - b});
-        cases.push_back({Opcode::And, a, b, a & b});
-        cases.push_back({Opcode::Or, a, b, a | b});
-        cases.push_back({Opcode::Xor, a, b, a ^ b});
-        cases.push_back({Opcode::Sll, a, b, a << (b & 63)});
-        cases.push_back({Opcode::Srl, a, b, a >> (b & 63)});
-        cases.push_back(
-            {Opcode::Sra, a, b, uint64_t(s64(a) >> (b & 63))});
-        cases.push_back({Opcode::Cmpeq, a, b, a == b ? 1ull : 0ull});
-        cases.push_back(
-            {Opcode::Cmplt, a, b, s64(a) < s64(b) ? 1ull : 0ull});
-        cases.push_back(
-            {Opcode::Cmple, a, b, s64(a) <= s64(b) ? 1ull : 0ull});
-        cases.push_back({Opcode::Mul, a, b, a * b});
-        cases.push_back({Opcode::Div, a, b,
-                         b ? uint64_t(s64(a) / s64(b)) : 0ull});
+        auto add = [&](Opcode op, uint64_t expected) {
+            cases.push_back({op, fill, a, b, expected});
+        };
+        add(Opcode::Add, a + b);
+        add(Opcode::Sub, a - b);
+        add(Opcode::And, a & b);
+        add(Opcode::Or, a | b);
+        add(Opcode::Xor, a ^ b);
+        add(Opcode::Sll, a << (b & 63));
+        add(Opcode::Srl, a >> (b & 63));
+        add(Opcode::Sra, uint64_t(s64(a) >> (b & 63)));
+        add(Opcode::Cmpeq, a == b ? 1ull : 0ull);
+        add(Opcode::Cmplt, s64(a) < s64(b) ? 1ull : 0ull);
+        add(Opcode::Cmple, s64(a) <= s64(b) ? 1ull : 0ull);
+        add(Opcode::Mul, a * b);
+        add(Opcode::Div, b ? uint64_t(s64(a) / s64(b)) : 0ull);
     }
     return cases;
 }
