@@ -63,7 +63,7 @@ summary()
     for (const auto &config : configs) {
         std::vector<std::string> row{config.label};
         for (const auto &bench : ablationBenches)
-            row.push_back(fmt(runCached(configParams(config), {bench})
+            row.push_back(fmt(cellResult(configParams(config), {bench})
                                   .penaltyPerMiss()));
         table.row(row);
     }
@@ -83,8 +83,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : ablationBenches)
-            registerPenaltyBench(std::string("ablation/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("ablation/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

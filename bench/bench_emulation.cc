@@ -81,9 +81,9 @@ Cell
 run(const Density &density, ExceptMech mech)
 {
     // No perfect-TLB companion: this study compares mechanisms on raw
-    // cycles, so the sweep jobs skip the baseline run.
-    const PenaltyResult &r = runCachedWorkloads(
-        densityParams(mech), {emulWorkload(density)}, true);
+    // cycles, so its cells skip the baseline run.
+    const PenaltyResult &r =
+        cellResult(densityParams(mech), {emulWorkload(density)});
     return Cell{double(r.mech.measuredCycles), double(r.mech.emulations)};
 }
 
@@ -121,10 +121,9 @@ main(int argc, char **argv)
         for (ExceptMech mech : mechs) {
             std::string name = std::string("emulation/") +
                                density.label + "/" + mechName(mech);
-            registerWorkloadBench(name, densityParams(mech),
-                                  {emulWorkload(density)},
-                                  /*skipBaseline=*/true);
+            declareCell(name, densityParams(mech),
+                        {emulWorkload(density)}, /*skipBaseline=*/true);
         }
     }
-    return benchMain(argc, argv, summary);
+    return benchMain(argv[0], summary);
 }

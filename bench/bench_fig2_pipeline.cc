@@ -40,7 +40,7 @@ summary()
         std::vector<double> penalties;
         for (unsigned depth : depths)
             penalties.push_back(
-                runCached(depthParams(depth), {bench}).penaltyPerMiss());
+                cellResult(depthParams(depth), {bench}).penaltyPerMiss());
         double slope = (penalties[2] - penalties[0]) / (11 - 3);
         avg_slope += slope;
         for (size_t i = 0; i < penalties.size(); ++i)
@@ -66,8 +66,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (unsigned depth : depths)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench("fig2/depth" + std::to_string(depth) +
-                                     "/" + bench,
-                                 depthParams(depth), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell("fig2/depth" + std::to_string(depth) +
+                            "/" + bench,
+                        depthParams(depth), {bench});
+    return benchMain(argv[0], summary);
 }

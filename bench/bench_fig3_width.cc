@@ -41,7 +41,7 @@ summary()
         std::vector<double> fracs;
         for (unsigned width : widths)
             fracs.push_back(
-                runCached(widthParams(width), {bench}).tlbFraction() *
+                cellResult(widthParams(width), {bench}).tlbFraction() *
                 100.0);
         for (size_t i = 0; i < fracs.size(); ++i)
             sums[i] += fracs[i];
@@ -70,8 +70,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (unsigned width : widths)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench("fig3/width" + std::to_string(width) +
-                                     "/" + bench,
-                                 widthParams(width), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell("fig3/width" + std::to_string(width) +
+                            "/" + bench,
+                        widthParams(width), {bench});
+    return benchMain(argv[0], summary);
 }

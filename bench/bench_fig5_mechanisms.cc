@@ -59,7 +59,7 @@ summary()
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
             const PenaltyResult &r =
-                runCached(configParams(configs[i]), {bench});
+                cellResult(configParams(configs[i]), {bench});
             double penalty = r.penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
@@ -102,7 +102,7 @@ attribSummary()
         obs::AttribSummary sum;
         for (const auto &bench : benchmarkNames()) {
             const obs::AttribSummary &a =
-                runCached(configParams(config), {bench}).mech.attrib;
+                cellResult(configParams(config), {bench}).mech.attrib;
             sum.completed += a.completed;
             sum.aborted += a.aborted;
             sum.spanCycles += a.spanCycles;
@@ -127,8 +127,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("fig5/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("fig5/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

@@ -53,7 +53,7 @@ summary()
     for (const auto &bench : benchmarkNames()) {
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
-            double penalty = runCached(configParams(configs[i]), {bench})
+            double penalty = cellResult(configParams(configs[i]), {bench})
                                  .penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
@@ -84,8 +84,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("fig6/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("fig6/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

@@ -71,7 +71,7 @@ summary()
         std::vector<std::string> row{mixLabel(mix)};
         for (size_t i = 0; i < std::size(configs); ++i) {
             double penalty =
-                runCached(configParams(configs[i]), mix).penaltyPerMiss();
+                cellResult(configParams(configs[i]), mix).penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
         }
@@ -94,12 +94,12 @@ summary()
         size_t i = 0;
         for (const auto &mix : figure7Mixes()) {
             double trad_p =
-                runCached(configParams(configs[0]), mix).penaltyPerMiss();
+                cellResult(configParams(configs[0]), mix).penaltyPerMiss();
             if (trad_p > 10.0) {
                 heavy_trad += trad_p;
-                heavy_mt += runCached(configParams(configs[1]), mix)
+                heavy_mt += cellResult(configParams(configs[1]), mix)
                                 .penaltyPerMiss();
-                heavy_qs += runCached(configParams(configs[2]), mix)
+                heavy_qs += cellResult(configParams(configs[2]), mix)
                                 .penaltyPerMiss();
                 ++heavy;
             }
@@ -130,8 +130,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &mix : figure7Mixes())
-            registerPenaltyBench(std::string("fig7/") + config.label +
-                                     "/" + mixLabel(mix),
-                                 configParams(config), mix);
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("fig7/") + config.label +
+                            "/" + mixLabel(mix),
+                        configParams(config), mix);
+    return benchMain(argv[0], summary);
 }

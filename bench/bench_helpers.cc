@@ -61,7 +61,7 @@ summary()
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
             const PenaltyResult &r =
-                runCached(configParams(configs[i]), {bench});
+                cellResult(configParams(configs[i]), {bench});
             double ipc = r.mech.ipc;
             if (i == 0) {
                 base_ipc = ipc;
@@ -93,8 +93,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("helpers/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("helpers/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

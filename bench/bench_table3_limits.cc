@@ -65,7 +65,7 @@ summary()
     for (const auto &config : configs) {
         double sum = 0;
         for (const auto &bench : benchmarkNames())
-            sum += runCached(configParams(config), {bench})
+            sum += cellResult(configParams(config), {bench})
                        .penaltyPerMiss();
         table.row({config.label, fmt(sum / benchmarkNames().size()),
                    fmt(config.paperAvg)});
@@ -86,8 +86,8 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("table3/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("table3/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

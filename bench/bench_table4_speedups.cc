@@ -69,9 +69,9 @@ summary()
     table.header(header);
 
     for (const auto &bench : benchmarkNames()) {
-        const PenaltyResult &trad = runCached(trad_params, {bench});
+        const PenaltyResult &trad = cellResult(trad_params, {bench});
         const PenaltyResult &perfect =
-            runCached(configParams(configs[0]), {bench});
+            cellResult(configParams(configs[0]), {bench});
 
         std::vector<std::string> row{bench, fmt(perfect.mech.ipc, 2),
                                      fmt(trad.missesPerKilo(), 3)};
@@ -79,7 +79,7 @@ summary()
         const auto &ref = paperSpeedups.at(bench);
         for (size_t i = 0; i < std::size(configs); ++i) {
             const PenaltyResult &r =
-                runCached(configParams(configs[i]), {bench});
+                cellResult(configParams(configs[i]), {bench});
             double speedup = (r.speedupOver(trad.mech) - 1.0) * 100.0;
             row.push_back(fmt(speedup, 2) + "%");
             paper.push_back(fmt(ref[i], 1) + "%");
@@ -104,12 +104,12 @@ main(int argc, char **argv)
     SimParams trad = baseParams();
     trad.except.mech = ExceptMech::Traditional;
     for (const auto &bench : benchmarkNames())
-        registerPenaltyBench(std::string("table4/traditional/") + bench,
-                             trad, {bench});
+        declareCell(std::string("table4/traditional/") + bench,
+                    trad, {bench});
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("table4/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            declareCell(std::string("table4/") + config.label +
+                            "/" + bench,
+                        configParams(config), {bench});
+    return benchMain(argv[0], summary);
 }

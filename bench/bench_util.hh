@@ -2,21 +2,27 @@
  * @file
  * Shared infrastructure for the per-figure/table benchmark binaries.
  *
- * Each binary's main() first calls benchParseArgs (the sweep flags:
- * --jobs N, --insts N, --warmup N, --json PATH, --no-json), then
- * registers one google-benchmark per measurement point. Registration
- * also queues a SweepJob; benchMain executes the whole job list on the
- * SweepRunner thread pool *before* google-benchmark runs, so the
- * expensive simulations happen in parallel (with perfect-TLB baselines
- * shared through the canonical-key cache) and every later lookup —
- * benchmark counters and the paper-style summary table — is a cache
- * hit. Results are byte-identical to a serial run: each cell is an
- * independent deterministic simulation and results are collected in
- * submission order.
+ * A binary declares its grid, runs it, and prints the paper's tables
+ * from the outcomes:
  *
- * After the text tables, every binary writes machine-readable results
- * to results/bench_<name>.json (schema zmt-sweep-results-v1, see
- * sim/sweep.hh) for CI to archive and diff.
+ *   int main(int argc, char **argv)
+ *   {
+ *       benchParseArgs(argc, argv);  // first: cells read --insts
+ *       for (...)
+ *           declareCell(label, params, {bench});
+ *       return benchMain(argv[0], summary);
+ *   }
+ *
+ * benchMain runs every declared cell on the campaign runner
+ * (sim/campaign.hh): in-process on a thread pool by default, with
+ * isolation, retries, a journal or a shard when those flags are given.
+ * It writes results/<binary>.json (schema zmt-sweep-results-v1) and,
+ * when every cell has a result, calls summary(), whose cellResult()
+ * lookups read the finished grid. No cell ever runs outside the
+ * runner, so a crashing configuration under --isolate stays contained.
+ * Results are byte-identical for any --jobs value: each cell is an
+ * independent deterministic simulation, and outcomes are kept in
+ * declaration order.
  *
  * Run lengths: 700k instructions with a 300k warm-up window (override
  * with --insts/--warmup for quick CI sweeps). The paper ran
@@ -28,20 +34,16 @@
 #ifndef ZMT_BENCH_BENCH_UTIL_HH
 #define ZMT_BENCH_BENCH_UTIL_HH
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/campaign.hh"
-#include "sim/sweep.hh"
 
 namespace zmtbench
 {
@@ -51,7 +53,7 @@ using namespace zmt;
 constexpr uint64_t BenchInsts = 700'000;
 constexpr uint64_t BenchWarmup = 300'000;
 
-/** Mutable sweep configuration shared across the binary. */
+/** The binary's command line, parsed by benchParseArgs. */
 struct BenchConfig
 {
     unsigned jobs = 0;           //!< 0 = hardware_concurrency
@@ -61,15 +63,11 @@ struct BenchConfig
     bool emitJson = true;
     bool attrib = false;         //!< per-exception penalty attribution
 
-    /** Fault-tolerant campaign mode (--isolate/--timeout/--retries/
-     *  --shard/--journal/--resume; sim/campaign.hh). When any of these
-     *  engage, benchMain runs the job list on a CampaignRunner and
-     *  skips google-benchmark and the summary tables — their memoized
-     *  cold paths would re-run a crashing configuration in-process,
-     *  defeating the isolation. */
+    /** --isolate/--timeout/--retries/--shard/--journal/--resume;
+     *  the defaults run every cell in-process. */
     CampaignOptions campaign;
 
-    /** --inject-panic SUBSTR: arm verify.panicAtCycle on every job
+    /** --inject-panic SUBSTR: arm verify.panicAtCycle on every cell
      *  whose label contains SUBSTR (fault-injection drills: prove a
      *  crashing cell is contained and quarantined, not fatal). */
     std::string injectPanic;
@@ -83,12 +81,12 @@ benchConfig()
 }
 
 /**
- * Parse and strip the sweep flags from argv before google-benchmark
- * sees them. Call first in every main(), before registering points
- * (registration snapshots --insts/--warmup via baseParams).
+ * Parse the command line into benchConfig(). Call first in every
+ * main(), before declaring cells (baseParams reads --insts/--warmup).
+ * An argument it does not recognise prints a usage line and exits 2.
  */
 inline void
-benchParseArgs(int &argc, char **argv)
+benchParseArgs(int argc, char **argv)
 {
     BenchConfig &config = benchConfig();
     config.jobs = parseJobsFlag(argc, argv, config.jobs);
@@ -103,7 +101,6 @@ benchParseArgs(int &argc, char **argv)
         return nullptr;
     };
 
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (const char *v = take_value(i, "--insts", "--insts=")) {
             config.insts = std::strtoull(v, nullptr, 0);
@@ -120,11 +117,19 @@ benchParseArgs(int &argc, char **argv)
                                               "--inject-panic=")) {
             config.injectPanic = p;
         } else {
-            argv[out++] = argv[i];
+            std::fprintf(
+                stderr,
+                "%s: bad argument '%s'\n"
+                "usage: %s [--jobs N] [--insts N] [--warmup N] "
+                "[--json PATH | --no-json] [--attrib]\n"
+                "       [--isolate] [--timeout S] [--retries N] "
+                "[--backoff S] [--shard I/N]\n"
+                "       [--journal PATH] [--resume PATH] "
+                "[--inject-panic SUBSTR]\n",
+                argv[0], argv[i], argv[0]);
+            std::exit(2);
         }
     }
-    argv[out] = nullptr;
-    argc = out;
 }
 
 /** Default parameters for all experiments (Table 1 machine). */
@@ -141,144 +146,102 @@ baseParams()
     return params;
 }
 
-/** The job list accumulated by the register* helpers. */
-inline std::vector<SweepJob> &
-pendingJobs()
-{
-    static std::vector<SweepJob> jobs;
-    return jobs;
-}
-
 namespace detail
 {
 
-struct ResultCache
+/** The declared cells and, once benchMain has run them, outcomes. */
+struct Grid
 {
-    std::mutex mutex;
-    std::map<std::string, PenaltyResult> map;
+    std::vector<SweepJob> jobs;            //!< declaration order
+    std::map<std::string, size_t> byKey;   //!< cell key -> jobs index
+    std::vector<CampaignOutcome> outcomes; //!< parallel to jobs
 };
 
-inline ResultCache &
-resultCache()
+inline Grid &
+grid()
 {
-    static ResultCache cache;
-    return cache;
+    static Grid grid;
+    return grid;
 }
 
+/** The workload half of a cell key; SimParams::canonicalKey() is the
+ *  other half. */
 inline std::string
-cacheKey(const SimParams &params,
-         const std::vector<std::string> &benches)
+workloadKey(const std::vector<std::string> &benches)
 {
-    std::string key = params.canonicalKey() + "|n:";
+    std::string key = "|n:";
     for (const auto &bench : benches)
         key += bench + "+";
     return key;
 }
 
 inline std::string
-cacheKey(const SimParams &params,
-         const std::vector<WorkloadParams> &workloads)
+workloadKey(const std::vector<WorkloadParams> &workloads)
 {
-    std::string key = params.canonicalKey() + "|w:";
+    std::string key = "|w:";
     for (const auto &wp : workloads)
         key += canonicalKey(wp) + "+";
     return key;
 }
 
-inline const PenaltyResult &
-store(const std::string &key, PenaltyResult result)
+inline void
+declare(SweepJob job, const std::string &workloads)
 {
-    ResultCache &cache = resultCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.map.emplace(key, std::move(result)).first->second;
+    Grid &g = grid();
+    g.byKey.emplace(job.params.canonicalKey() + workloads, g.jobs.size());
+    g.jobs.push_back(std::move(job));
 }
 
-template <typename Workloads>
-const PenaltyResult &
-lookupOrRun(const SimParams &params, const Workloads &workloads,
-            bool skip_baseline)
+inline const PenaltyResult &
+lookup(const SimParams &params, const std::string &workloads)
 {
-    const std::string key = cacheKey(params, workloads);
-    {
-        ResultCache &cache = resultCache();
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it = cache.map.find(key);
-        if (it != cache.map.end())
-            return it->second;
-    }
-    // Cold path — a point queried by a summary() without having been
-    // registered. Runs serially; registered points were precomputed by
-    // the sweep in benchMain.
-    if constexpr (std::is_same_v<Workloads,
-                                 std::vector<WorkloadParams>>) {
-        return store(key,
-                     measurePenalty(params, workloads, skip_baseline));
-    } else {
-        return store(key, measurePenalty(params, workloads));
-    }
+    const Grid &g = grid();
+    auto it = g.byKey.find(params.canonicalKey() + workloads);
+    panic_if(it == g.byKey.end(),
+             "bench grid: summary() reads a cell main() never "
+             "declared (%s)",
+             workloads.c_str());
+    return g.outcomes[it->second].outcome.result;
 }
 
 } // namespace detail
 
-/** Memoized penalty measurement (named benchmarks). */
-inline const PenaltyResult &
-runCached(const SimParams &params, const std::vector<std::string> &benches)
-{
-    return detail::lookupOrRun(params, benches, false);
-}
-
-/** Memoized measurement for explicit workloads. */
-inline const PenaltyResult &
-runCachedWorkloads(const SimParams &params,
-                   const std::vector<WorkloadParams> &workloads,
-                   bool skipBaseline = false)
-{
-    return detail::lookupOrRun(params, workloads, skipBaseline);
-}
-
-/**
- * Register a google-benchmark point that runs (memoized) and exposes
- * the headline counters, and queue it for the parallel sweep.
- */
+/** Declare one cell of the grid: @p params on named benchmarks. */
 inline void
-registerPenaltyBench(const std::string &name, SimParams params,
-                     std::vector<std::string> benches)
+declareCell(std::string label, SimParams params,
+            std::vector<std::string> benches)
 {
-    pendingJobs().emplace_back(params, benches, name);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [params, benches](benchmark::State &state) {
-            const PenaltyResult *result = nullptr;
-            for (auto _ : state)
-                result = &runCached(params, benches);
-            state.counters["penalty_per_miss"] = result->penaltyPerMiss();
-            state.counters["tlb_fraction"] = result->tlbFraction();
-            state.counters["ipc"] = result->mech.ipc;
-            state.counters["misses_per_kinst"] = result->missesPerKilo();
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
+    std::string key = detail::workloadKey(benches);
+    detail::declare(SweepJob(std::move(params), std::move(benches),
+                             std::move(label)),
+                    key);
 }
 
-/** Explicit-workload variant (e.g. the Section 6 emulation study). */
+/** Explicit-workload variant (e.g. the Section 6 emulation study);
+ *  @p skipBaseline drops the perfect-TLB companion run. */
 inline void
-registerWorkloadBench(const std::string &name, SimParams params,
-                      std::vector<WorkloadParams> workloads,
-                      bool skipBaseline = false)
+declareCell(std::string label, SimParams params,
+            std::vector<WorkloadParams> workloads,
+            bool skipBaseline = false)
 {
-    pendingJobs().emplace_back(params, workloads, name, skipBaseline);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [params, workloads, skipBaseline](benchmark::State &state) {
-            const PenaltyResult *result = nullptr;
-            for (auto _ : state)
-                result = &runCachedWorkloads(params, workloads,
-                                             skipBaseline);
-            state.counters["cycles"] =
-                double(result->mech.measuredCycles);
-            state.counters["emulations"] =
-                double(result->mech.emulations);
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
+    std::string key = detail::workloadKey(workloads);
+    detail::declare(SweepJob(std::move(params), std::move(workloads),
+                             std::move(label), skipBaseline),
+                    key);
+}
+
+/** A declared cell's result, for summary() (panics on any other). */
+inline const PenaltyResult &
+cellResult(const SimParams &params, const std::vector<std::string> &benches)
+{
+    return detail::lookup(params, detail::workloadKey(benches));
+}
+
+inline const PenaltyResult &
+cellResult(const SimParams &params,
+           const std::vector<WorkloadParams> &workloads)
+{
+    return detail::lookup(params, detail::workloadKey(workloads));
 }
 
 /** Pretty table writer used for the paper-vs-measured summaries. */
@@ -339,25 +302,37 @@ fmt(double value, int precision = 1)
 }
 
 /**
- * Standard main: execute the queued jobs on the sweep pool, let
- * google-benchmark report its (now memoized) points, print the
- * paper-style table, and emit the JSON results file.
- */
-/**
- * Fault-tolerant campaign execution of the job list: isolation,
- * retries, journaling, sharding, graceful SIGINT/SIGTERM drain.
- * Exit codes: 0 all cells ok, 1 completed with failed cells,
- * 130 interrupted (resumable via --resume on the journal).
+ * Run the declared grid on the campaign runner, write the results
+ * document, and print the paper tables through @p summary when every
+ * cell has a result. Otherwise the tables are skipped and stderr names
+ * each cell without one. Progress goes to stderr, so stdout is
+ * byte-identical for any --jobs value and with or without isolation.
+ * Exit codes: 0 every cell of this shard is ok, 1 some cell failed,
+ * 130 interrupted (resumable through --resume on the journal).
  */
 inline int
-benchCampaignMain(const std::string &name,
-                  const std::vector<SweepJob> &jobs)
+benchMain(const char *argv0, void (*summary)())
 {
-    const BenchConfig &config = benchConfig();
-    CampaignRunner runner(config.campaign, config.jobs);
+    // Binary name ("bench_fig5_mechanisms") for the results file.
+    std::string name = argv0;
+    if (auto slash = name.rfind('/'); slash != std::string::npos)
+        name = name.substr(slash + 1);
 
+    const BenchConfig &config = benchConfig();
+    detail::Grid &grid = detail::grid();
+    std::vector<SweepJob> &jobs = grid.jobs;
+    // Fault-injection drill: arm the deterministic panic on matching
+    // cells (their declared keys still find them in summary()).
+    if (!config.injectPanic.empty()) {
+        for (SweepJob &job : jobs) {
+            if (job.label.find(config.injectPanic) != std::string::npos)
+                job.params.verify.panicAtCycle = 1000;
+        }
+    }
+
+    CampaignRunner runner(config.campaign, config.jobs);
     auto start = std::chrono::steady_clock::now();
-    std::vector<CampaignOutcome> outcomes = runner.run(
+    grid.outcomes = runner.run(
         jobs, [&](size_t i, const CampaignOutcome &outcome) {
             const char *what =
                 outcome.state == CellState::FromJournal ? "journal"
@@ -370,117 +345,59 @@ benchCampaignMain(const std::string &name,
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
+    const std::vector<CampaignOutcome> &outcomes = grid.outcomes;
 
-    size_t failed = 0;
+    size_t failed = 0, unresolved = 0, written = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
-        if (outcomes[i].state != CellState::Failed)
-            continue;
-        ++failed;
-        const JobFailure &f = outcomes[i].failure;
-        std::fprintf(stderr, "# failure: %s: %s (%u attempt%s%s)\n",
-                     jobs[i].label.c_str(), f.message.c_str(),
-                     f.attempts, f.attempts == 1 ? "" : "s",
-                     f.quarantined ? ", quarantined" : "");
+        const CampaignOutcome &outcome = outcomes[i];
+        const char *label = jobs[i].label.c_str();
+        if (outcome.state == CellState::Failed) {
+            ++failed;
+            const JobFailure &f = outcome.failure;
+            std::fprintf(stderr, "# failure: %s: %s (%u attempt%s%s)\n",
+                         label, f.message.c_str(), f.attempts,
+                         f.attempts == 1 ? "" : "s",
+                         f.quarantined ? ", quarantined" : "");
+        } else if (outcome.state == CellState::OtherShard) {
+            std::fprintf(stderr, "# other shard: %s\n", label);
+        } else if (outcome.state == CellState::Pending) {
+            std::fprintf(stderr, "# not run: %s\n", label);
+        }
+        unresolved += !outcome.ok();
+        written += outcome.ok() || outcome.state == CellState::Failed;
     }
-    std::fprintf(stderr, "# campaign: %zu cells, %zu failed, %.1fs%s\n",
-                 jobs.size(), failed, wall,
+    std::fprintf(stderr, "# campaign: %zu cells, %zu failed, %u threads, "
+                         "%.1fs%s\n",
+                 jobs.size(), failed, runner.threads(), wall,
                  runner.interrupted() ? " [interrupted]" : "");
 
+    std::string path;
     if (config.emitJson) {
-        std::string path = config.jsonPath.empty()
-                               ? "results/" + name + ".json"
-                               : config.jsonPath;
-        if (writeCampaignResultsJson(path, name, jobs, outcomes,
-                                     runner.threads(), wall,
-                                     config.campaign,
-                                     runner.interrupted()))
-            std::printf("wrote %s\n", path.c_str());
-        else
+        path = config.jsonPath.empty() ? "results/" + name + ".json"
+                                       : config.jsonPath;
+        if (!writeCampaignResultsJson(path, name, jobs, outcomes,
+                                      runner.threads(), wall,
+                                      config.campaign,
+                                      runner.interrupted())) {
             std::fprintf(stderr, "error: could not write %s\n",
                          path.c_str());
+            path.clear();
+        }
     }
+
+    if (unresolved == 0)
+        summary();
+    else
+        std::fprintf(stderr, "# tables skipped: %zu of %zu cells have "
+                             "no result\n",
+                     unresolved, jobs.size());
+    // Reported after the tables, which lead stdout.
+    if (!path.empty())
+        std::printf("\nwrote %s (%zu cells)\n", path.c_str(), written);
 
     if (runner.interrupted())
         return 130;
     return failed ? 1 : 0;
-}
-
-inline int
-benchMain(int argc, char **argv, void (*summary)())
-{
-    // Binary name ("bench_fig5_mechanisms") for the results file.
-    std::string name = argv[0];
-    if (auto slash = name.rfind('/'); slash != std::string::npos)
-        name = name.substr(slash + 1);
-
-    // Fault-injection drill: arm the deterministic panic on matching
-    // cells before either execution path sees the job list.
-    if (!benchConfig().injectPanic.empty()) {
-        for (SweepJob &job : pendingJobs()) {
-            if (job.label.find(benchConfig().injectPanic) !=
-                std::string::npos)
-                job.params.verify.panicAtCycle = 1000;
-        }
-    }
-
-    // Campaign mode replaces the sweep/benchmark/summary pipeline:
-    // google-benchmark counters and summary() go through the memoized
-    // runCached cold path, which would re-run a crashed configuration
-    // in this process — exactly what isolation exists to prevent.
-    if (benchConfig().campaign.active())
-        return benchCampaignMain(name, pendingJobs());
-
-    const std::vector<SweepJob> &jobs = pendingJobs();
-    SweepRunner runner(benchConfig().jobs);
-    auto start = std::chrono::steady_clock::now();
-    std::vector<SweepOutcome> outcomes = runner.run(jobs);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        if (!job.workloads.empty())
-            detail::store(detail::cacheKey(job.params, job.workloads),
-                          outcomes[i].result);
-        else
-            detail::store(detail::cacheKey(job.params, job.benchmarks),
-                          outcomes[i].result);
-    }
-    // Progress to stderr: stdout (tables, counters) stays
-    // byte-identical for any --jobs value. The aggregate KIPS (summed
-    // simulated instructions / sweep wall time) tracks simulator
-    // speed; bench_simspeed measures it properly per mechanism.
-    uint64_t swept_insts = 0;
-    for (const SweepOutcome &outcome : outcomes) {
-        swept_insts += outcome.result.mech.userInsts;
-        swept_insts += outcome.result.perfect.userInsts;
-    }
-    std::fprintf(stderr,
-                 "# sweep: %zu cells on %u threads in %.1fs "
-                 "(%.0f KIPS aggregate)\n",
-                 jobs.size(), runner.threads(), wall,
-                 wall > 0.0 ? double(swept_insts) / wall / 1000.0 : 0.0);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (summary)
-        summary();
-
-    const BenchConfig &config = benchConfig();
-    if (config.emitJson) {
-        std::string path = config.jsonPath.empty()
-                               ? "results/" + name + ".json"
-                               : config.jsonPath;
-        if (writeSweepResultsJson(path, name, jobs, outcomes,
-                                  runner.threads(), wall))
-            std::printf("\nwrote %s (%zu cells)\n", path.c_str(),
-                        jobs.size());
-        else
-            std::fprintf(stderr, "error: could not write %s\n",
-                         path.c_str());
-    }
-    return 0;
 }
 
 } // namespace zmtbench

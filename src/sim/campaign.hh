@@ -1,13 +1,14 @@
 /**
  * @file
- * Fault-tolerant campaign layer over the sweep runner.
+ * The job runner: every sweep cell of the bench binaries runs here.
  *
- * A SweepRunner (sim/sweep.hh) is one thread pool in one process: a
- * single panic()/abort in any of 10^5 configurations kills the whole
- * campaign and discards every finished cell. In the spirit of treating
- * control-flow errors as events to recover from rather than die on,
- * CampaignRunner turns a crashing or hanging cell into a structured,
- * quarantined result:
+ * With default options CampaignRunner runs the cells in-process on a
+ * SweepRunner thread pool (sim/sweep.hh), results in submission order.
+ * One pool in one process means a single panic()/abort in any of 10^5
+ * configurations kills the whole campaign and discards every finished
+ * cell. In the spirit of treating control-flow errors as events to
+ * recover from rather than die on, the options turn a crashing or
+ * hanging cell into a structured, quarantined result:
  *
  *  - process isolation: each job runs in a forked child with captured
  *    stderr, exit status and wall-clock, so panic(), sanitizer aborts
@@ -59,16 +60,6 @@ struct CampaignOptions
     unsigned shardCount = 1;     //!< total shards
     std::string journalPath;     //!< append results here ("" = off)
     std::string resumePath;      //!< skip cells journaled here ("" = off)
-
-    /** Any campaign feature engaged (else callers may prefer the plain
-     *  SweepRunner path, whose stdout contract is byte-stable). */
-    bool
-    active() const
-    {
-        return isolate || timeoutSeconds > 0.0 || retries > 0 ||
-               shardCount > 1 || !journalPath.empty() ||
-               !resumePath.empty();
-    }
 };
 
 /**
@@ -291,11 +282,17 @@ class CampaignRunner
 // ---------------------------------------------------------------------
 
 /**
- * Campaign-mode results document. Same schema as sweepResultsJson
- * ("zmt-sweep-results-v1") plus a top-level "campaign" object; cells
- * are emitted only for Done/FromJournal/Failed states, each carrying
- * its submission "index" and a "failure" member, so shard and resumed
- * outputs can be reassembled by mergeSweepResults.
+ * The results document (schema "zmt-sweep-results-v1"):
+ *
+ *   { "schema", "name", "jobs": threads, "wall_seconds",
+ *     "campaign": {isolate, timeout_seconds, retries, shard_index,
+ *                  shard_count, interrupted, completed, from_journal,
+ *                  failed, quarantined, other_shard, pending},
+ *     "cells": [ emitSweepCell elements ] }
+ *
+ * Cells are emitted only for Done/FromJournal/Failed states, each
+ * carrying its submission "index" and a "failure" member, so shard and
+ * resumed outputs can be reassembled by mergeSweepResults.
  */
 std::string campaignResultsJson(const std::string &name,
                                 const std::vector<SweepJob> &jobs,
@@ -304,7 +301,10 @@ std::string campaignResultsJson(const std::string &name,
                                 const CampaignOptions &options,
                                 bool interrupted);
 
-/** writeSweepResultsJson's campaign twin. */
+/**
+ * Write campaignResultsJson to @p path (creating the parent directory
+ * if it is a simple "dir/file" path). Returns false on I/O failure.
+ */
 bool writeCampaignResultsJson(const std::string &path,
                               const std::string &name,
                               const std::vector<SweepJob> &jobs,

@@ -1,19 +1,14 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <sys/stat.h>
+#include <ostream>
 #include <thread>
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace zmt
 {
@@ -59,33 +54,6 @@ SweepRunner::parallelFor(size_t count,
     worker(); // the calling thread is worker 0
     for (auto &thread : pool)
         thread.join();
-}
-
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs) const
-{
-    std::vector<SweepOutcome> outcomes(jobs.size());
-    parallelFor(jobs.size(), [&](size_t i) {
-        const SweepJob &job = jobs[i];
-        // Interleaved ZTRACE lines from concurrent cells stay
-        // attributable: prefix this worker's output with the job label
-        // while it runs this cell.
-        trace::setRunLabel(job.label);
-        auto start = std::chrono::steady_clock::now();
-        if (!job.workloads.empty()) {
-            outcomes[i].result = measurePenalty(job.params, job.workloads,
-                                                job.skipBaseline);
-        } else {
-            outcomes[i].result =
-                measurePenalty(job.params, job.benchmarks);
-        }
-        outcomes[i].wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        trace::setRunLabel("");
-    });
-    return outcomes;
 }
 
 unsigned
@@ -188,47 +156,6 @@ emitSweepCell(std::ostream &os, size_t index, const SweepJob &job,
             first = false;
         });
     os << "}}";
-}
-
-std::string
-sweepResultsJson(const std::string &name,
-                 const std::vector<SweepJob> &jobs,
-                 const std::vector<SweepOutcome> &outcomes,
-                 unsigned threads, double wallSeconds)
-{
-    panic_if(jobs.size() != outcomes.size(),
-             "sweep JSON: %zu jobs but %zu outcomes", jobs.size(),
-             outcomes.size());
-    std::ostringstream os;
-    os << "{\"schema\":\"zmt-sweep-results-v1\",\"name\":\""
-       << jsonEscape(name) << "\",\"jobs\":" << threads
-       << ",\"wall_seconds\":" << jsonNumber(wallSeconds)
-       << ",\"cells\":[";
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\n  ";
-        emitSweepCell(os, i, jobs[i], outcomes[i]);
-    }
-    os << "\n]}\n";
-    return os.str();
-}
-
-bool
-writeSweepResultsJson(const std::string &path, const std::string &name,
-                      const std::vector<SweepJob> &jobs,
-                      const std::vector<SweepOutcome> &outcomes,
-                      unsigned threads, double wallSeconds)
-{
-    auto slash = path.rfind('/');
-    if (slash != std::string::npos && slash > 0)
-        ::mkdir(path.substr(0, slash).c_str(), 0777); // EEXIST is fine
-
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << sweepResultsJson(name, jobs, outcomes, threads, wallSeconds);
-    return bool(out);
 }
 
 } // namespace zmt

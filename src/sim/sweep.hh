@@ -1,22 +1,23 @@
 /**
  * @file
- * Parallel sweep runner.
+ * Sweep cells and the thread pool that runs them.
  *
  * The paper's evaluation is a large grid — 8 workloads x 4 mechanisms
  * x pipeline/width/latency axes plus the multiprogrammed mixes — and
  * every cell is an independent deterministic simulation (its own
- * seeded Rng, its own StatGroup tree). SweepRunner fans a job list out
- * over a std::thread pool and collects PenaltyResults in submission
- * order, so a parallel sweep's output is byte-identical to a serial
- * one. Perfect-TLB baselines are memoized process-wide behind the
- * thread-safe cache in sim/experiment.cc, keyed by the canonical full
- * serialization of SimParams (see SimParams::canonicalKey), so
- * concurrent jobs that share a baseline run it exactly once.
+ * seeded Rng, its own StatGroup tree). A SweepJob names one cell;
+ * CampaignRunner (sim/campaign.hh) runs a job list on a SweepRunner
+ * pool and keeps results in submission order, so a parallel sweep's
+ * output is byte-identical to a serial one. Perfect-TLB baselines are
+ * memoized process-wide behind the thread-safe cache in
+ * sim/experiment.cc, keyed by the canonical full serialization of
+ * SimParams (see SimParams::canonicalKey), so concurrent jobs that
+ * share a baseline run it exactly once.
  *
- * Alongside the paper-style text tables, sweeps can be serialized as
- * machine-readable JSON (results/bench_<name>.json) carrying per-cell
- * penalty, speedup inputs, miss counts, cycles, wall-clock and the
- * exact parameters — a perf trajectory CI archives and diffs.
+ * emitSweepCell writes one cell of the machine-readable results
+ * document (results/bench_<name>.json): penalty, speedup inputs, miss
+ * counts, cycles, wall-clock and the exact parameters — a perf
+ * trajectory CI archives and diffs.
  */
 
 #ifndef ZMT_SIM_SWEEP_HH
@@ -62,11 +63,9 @@ struct SweepOutcome
 };
 
 /**
- * Executes sweep jobs on a pool of worker threads.
- *
- * Determinism contract: each job's result depends only on its own
- * (params, workloads) — never on scheduling — so run() with any
- * thread count returns the same vector, in submission order.
+ * A pool of worker threads. Determinism contract for its callers: each
+ * job's result depends only on its own (params, workloads), never on
+ * scheduling, so any thread count gives the same results.
  */
 class SweepRunner
 {
@@ -75,9 +74,6 @@ class SweepRunner
     explicit SweepRunner(unsigned jobs = 0);
 
     unsigned threads() const { return numThreads; }
-
-    /** Run every job; results in submission order. */
-    std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs) const;
 
     /**
      * Generic building block: invoke @p fn(i) for i in [0, count) on
@@ -100,52 +96,30 @@ class SweepRunner
 unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
 
 /**
- * Serialize a finished sweep as JSON (schema "zmt-sweep-results-v1"):
+ * Emit one result cell, an element of the "cells" array of the
+ * zmt-sweep-results-v1 document (see campaignResultsJson):
  *
- *   { "schema": ..., "name": ..., "jobs": N, "wall_seconds": S,
- *     "cells": [ { "label", "benchmarks", "penalty_per_miss",
- *                  "tlb_fraction", "ipc", "misses_per_kinst",
- *                  "mech": {status,cycles,user_insts,tlb_misses,
- *                           emulations,measured_cycles,measured_insts,
- *                           measured_misses,ipc},
- *                  "perfect": {...} | null,
- *                  "wall_seconds", "params": {dotted-name: value} },
- *                ... ] }
+ *   { "index", "label", "benchmarks", "penalty_per_miss",
+ *     "tlb_fraction", "ipc", "misses_per_kinst",
+ *     "mech": {status,cycles,user_insts,tlb_misses,emulations,
+ *              measured_cycles,measured_insts,measured_misses,ipc,...},
+ *     "perfect": {...} | null, "wall_seconds", "failure",
+ *     "params": {dotted-name: value} }
  *
- * "params" carries the exact configuration via
- * SimParams::forEachParam, so a cell can be re-run bit-identically
- * from the file alone.
- */
-std::string sweepResultsJson(const std::string &name,
-                             const std::vector<SweepJob> &jobs,
-                             const std::vector<SweepOutcome> &outcomes,
-                             unsigned threads, double wallSeconds);
-
-/**
- * Emit one result cell (the element format of "cells" above). Every
+ * "params" carries the exact configuration via SimParams::forEachParam,
+ * so a cell can be re-run bit-identically from the file alone. Every
  * cell carries its submission "index" so shard/resume outputs merge
  * back into submission order (tools/sweep_merge), and a "failure"
  * member — @p failureJson is "null" for a clean run or a structured
- * object from the campaign layer (sim/campaign.hh) for a cell whose
- * isolated child crashed or timed out. @p nullPerfect forces
- * "perfect":null (used for failed cells, where no baseline exists,
- * in addition to the skipBaseline case). Shared by the plain sweep
- * and campaign emitters so both produce byte-compatible cells.
+ * object from the campaign layer for a cell whose isolated child
+ * crashed or timed out. @p nullPerfect forces "perfect":null (used for
+ * failed cells, where no baseline exists, in addition to the
+ * skipBaseline case).
  */
 void emitSweepCell(std::ostream &os, size_t index, const SweepJob &job,
                    const SweepOutcome &outcome,
                    const std::string &failureJson = "null",
                    bool nullPerfect = false);
-
-/**
- * Write sweepResultsJson to @p path (creating the parent directory if
- * it is a simple "dir/file" path). Returns false on I/O failure.
- */
-bool writeSweepResultsJson(const std::string &path,
-                           const std::string &name,
-                           const std::vector<SweepJob> &jobs,
-                           const std::vector<SweepOutcome> &outcomes,
-                           unsigned threads, double wallSeconds);
 
 } // namespace zmt
 

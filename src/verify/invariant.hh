@@ -7,8 +7,9 @@
  *
  *  - the in-flight lists (whose dispatched part is the window) hold
  *    only live instructions in program order; the occupancy counter
- *    matches them and never exceeds the window size; the ready list
- *    holds exactly the operand-ready unissued instructions
+ *    matches them and never exceeds the window size (under the
+ *    instant-fetch limit study, only handler entries may pass it); the
+ *    ready list holds exactly the operand-ready unissued instructions
  *  - per-context accounting (icount vs. in-flight list, idle contexts
  *    are empty)
  *  - context state machine takes only legal transitions

@@ -103,7 +103,6 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
     argv[argc] = nullptr;
 
     CampaignOptions opts;
-    EXPECT_FALSE(opts.active());
     parseCampaignFlags(argc, argv, opts);
 
     EXPECT_TRUE(opts.isolate);
@@ -114,7 +113,6 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
     EXPECT_EQ(opts.shardCount, 4u);
     EXPECT_EQ(opts.journalPath, "j.path");
     EXPECT_EQ(opts.resumePath, "r.path");
-    EXPECT_TRUE(opts.active());
 
     ASSERT_EQ(argc, 3);
     EXPECT_STREQ(argv[1], "keep1");
@@ -123,10 +121,25 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
 
 TEST(CampaignFlags, DefaultsAreInactive)
 {
+    // Without campaign flags every cell runs once, in-process, in the
+    // only shard, unjournaled; other arguments stay for the caller.
+    const char *raw[] = {"bench", "--jobs", "2", nullptr};
+    char *argv[4];
+    int argc = 3;
+    for (int i = 0; i < argc; ++i)
+        argv[i] = const_cast<char *>(raw[i]);
+    argv[argc] = nullptr;
+
     CampaignOptions opts;
-    EXPECT_FALSE(opts.active());
-    opts.shardCount = 2;
-    EXPECT_TRUE(opts.active());
+    parseCampaignFlags(argc, argv, opts);
+    EXPECT_FALSE(opts.isolate);
+    EXPECT_DOUBLE_EQ(opts.timeoutSeconds, 0.0);
+    EXPECT_EQ(opts.retries, 0u);
+    EXPECT_EQ(opts.shardIndex, 0u);
+    EXPECT_EQ(opts.shardCount, 1u);
+    EXPECT_TRUE(opts.journalPath.empty());
+    EXPECT_TRUE(opts.resumePath.empty());
+    EXPECT_EQ(argc, 3);
 }
 
 TEST(CampaignFlagsDeathTest, RejectsMalformedShard)
@@ -400,25 +413,47 @@ TEST(Journal, RejectsForeignFile)
 
 TEST(Campaign, PlainRunMatchesSweepRunner)
 {
+    // Default options run each cell in-process: exactly what a direct
+    // measurePenalty call returns.
     const std::vector<SweepJob> jobs = tinyJobList();
     clearBaselineCache();
-    std::vector<SweepOutcome> plain = SweepRunner(2).run(jobs);
-
-    clearBaselineCache();
-    CampaignOptions opts; // inactive: in-process, no journal
+    CampaignOptions opts;
     std::vector<CampaignOutcome> campaign =
         CampaignRunner(opts, 2).run(jobs);
 
+    clearBaselineCache();
     ASSERT_EQ(campaign.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
+        PenaltyResult direct =
+            measurePenalty(jobs[i].params, jobs[i].benchmarks);
         EXPECT_EQ(campaign[i].state, CellState::Done);
         EXPECT_EQ(campaign[i].outcome.result.mech.cycles,
-                  plain[i].result.mech.cycles)
+                  direct.mech.cycles)
             << jobs[i].label;
         EXPECT_EQ(campaign[i].outcome.result.perfect.cycles,
-                  plain[i].result.perfect.cycles)
+                  direct.perfect.cycles)
             << jobs[i].label;
     }
+}
+
+TEST(Campaign, IsolatedRunMatchesInProcess)
+{
+    // A forked child's result crosses a pipe as text; the round trip
+    // must not change one byte of the results document.
+    const std::vector<SweepJob> jobs = tinyJobList();
+    CampaignOptions inProcess;
+    clearBaselineCache();
+    std::string golden = mergedJson(
+        jobs, CampaignRunner(inProcess, 2).run(jobs), inProcess);
+
+    CampaignOptions isolated;
+    isolated.isolate = true;
+    clearBaselineCache();
+    std::vector<CampaignOutcome> outcomes =
+        CampaignRunner(isolated, 2).run(jobs);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(outcomes[i].state, CellState::Done) << jobs[i].label;
+    EXPECT_EQ(mergedJson(jobs, outcomes, isolated), golden);
 }
 
 TEST(Campaign, ResumeFromPartialJournalIsByteIdentical)

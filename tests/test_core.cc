@@ -363,6 +363,24 @@ TEST(Core, LimitStudiesRunAndStayCorrect)
     }
 }
 
+// Instant handler fetch dispatches a whole handler the cycle its miss
+// is detected, without waiting for window room, so with three handler
+// contexts handler entries can fill the window past its size. The
+// core's periodic window audit must accept exactly that.
+TEST(Core, InstantFetchWithThreeHandlersStaysCorrect)
+{
+    SimParams params = smallParams(ExceptMech::Multithreaded, 100000);
+    params.except.idleThreads = 3;
+    params.except.instantHandlerFetch = true;
+    Simulator sim(params, std::vector<std::string>{"deltablue"});
+    CoreResult result = sim.run();
+    EXPECT_EQ(result.status, RunStatus::Ok) << result.error;
+
+    uint64_t retired = sim.core().retiredUserInsts(0);
+    ArchResult golden = goldenRun(benchmarkParams("deltablue"), retired);
+    EXPECT_EQ(sim.core().retiredStoreHash(0), golden.storeHash);
+}
+
 TEST(Core, DesignOptionTogglesStayCorrect)
 {
     for (const char *toggle :

@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 
 namespace
 {
@@ -381,17 +381,21 @@ TEST(GoldenSweep, SerialAndParallelSweepsAreBitIdentical)
                           std::string("golden/") + mechName(mech));
     }
 
-    std::vector<SweepOutcome> serial = SweepRunner(1).run(jobs);
-    std::vector<SweepOutcome> parallel = SweepRunner(8).run(jobs);
+    std::vector<CampaignOutcome> serial =
+        CampaignRunner(CampaignOptions{}, 1).run(jobs);
+    std::vector<CampaignOutcome> parallel =
+        CampaignRunner(CampaignOptions{}, 8).run(jobs);
 
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(coreResultKey(serial[i].result.mech),
-                  coreResultKey(parallel[i].result.mech))
+        const PenaltyResult &a = serial[i].outcome.result;
+        const PenaltyResult &b = parallel[i].outcome.result;
+        EXPECT_EQ(serial[i].state, CellState::Done) << jobs[i].label;
+        EXPECT_EQ(parallel[i].state, CellState::Done) << jobs[i].label;
+        EXPECT_EQ(coreResultKey(a.mech), coreResultKey(b.mech))
             << jobs[i].label;
-        EXPECT_EQ(coreResultKey(serial[i].result.perfect),
-                  coreResultKey(parallel[i].result.perfect))
+        EXPECT_EQ(coreResultKey(a.perfect), coreResultKey(b.perfect))
             << jobs[i].label;
     }
 }

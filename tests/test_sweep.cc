@@ -1,10 +1,11 @@
 /**
  * @file
- * Sweep-runner tests: the parallel-for building block, determinism
- * under parallelism (the --jobs 1 vs --jobs 8 contract), baseline
- * sharing across worker threads, flag parsing, and the JSON emitter's
- * schema (validated with a small recursive-descent JSON parser so the
- * files are guaranteed machine-readable, not just grep-able).
+ * Sweep tests: the SweepRunner pool's parallel-for building block,
+ * determinism of the job runner under parallelism (the --jobs 1 vs
+ * --jobs 8 contract), baseline sharing across worker threads, flag
+ * parsing, and the results document's schema (validated with a small
+ * recursive-descent JSON parser so the files are guaranteed
+ * machine-readable, not just grep-able).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "sim/sweep.hh"
+#include "sim/campaign.hh"
 
 namespace
 {
@@ -160,6 +161,18 @@ expectSameResult(const CoreResult &a, const CoreResult &b,
     EXPECT_DOUBLE_EQ(a.ipc, b.ipc) << what;
 }
 
+/** @p outcomes as finished cells of an in-process campaign. */
+std::vector<CampaignOutcome>
+doneCells(const std::vector<SweepOutcome> &outcomes)
+{
+    std::vector<CampaignOutcome> cells(outcomes.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        cells[i].state = CellState::Done;
+        cells[i].outcome = outcomes[i];
+    }
+    return cells;
+}
+
 TEST(SweepRunner, ParallelForRunsEveryIndexExactlyOnce)
 {
     SweepRunner runner(4);
@@ -193,17 +206,21 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
     const std::vector<SweepJob> jobs = tinyJobList();
 
     clearBaselineCache();
-    std::vector<SweepOutcome> serial = SweepRunner(1).run(jobs);
+    std::vector<CampaignOutcome> serial =
+        CampaignRunner(CampaignOptions{}, 1).run(jobs);
     clearBaselineCache();
-    std::vector<SweepOutcome> parallel = SweepRunner(8).run(jobs);
+    std::vector<CampaignOutcome> parallel =
+        CampaignRunner(CampaignOptions{}, 8).run(jobs);
 
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        expectSameResult(serial[i].result.mech, parallel[i].result.mech,
-                         jobs[i].label + " (mech)");
-        expectSameResult(serial[i].result.perfect,
-                         parallel[i].result.perfect,
+        EXPECT_EQ(serial[i].state, CellState::Done) << jobs[i].label;
+        EXPECT_EQ(parallel[i].state, CellState::Done) << jobs[i].label;
+        const PenaltyResult &a = serial[i].outcome.result;
+        const PenaltyResult &b = parallel[i].outcome.result;
+        expectSameResult(a.mech, b.mech, jobs[i].label + " (mech)");
+        expectSameResult(a.perfect, b.perfect,
                          jobs[i].label + " (perfect)");
     }
 }
@@ -215,7 +232,7 @@ TEST(SweepRunner, BaselinesSharedAcrossWorkers)
 {
     const std::vector<SweepJob> jobs = tinyJobList();
     clearBaselineCache();
-    SweepRunner(8).run(jobs);
+    CampaignRunner(CampaignOptions{}, 8).run(jobs);
     // 6 jobs, 2 workloads, identical machine shape: 2 baselines.
     EXPECT_EQ(baselineCacheSize(), 2u);
 }
@@ -261,8 +278,9 @@ TEST(SweepJson, SchemaFieldsPresentAndParseable)
     a.wallSeconds = 0.25;
     SweepOutcome b;
 
-    std::string json = sweepResultsJson(
-        "bench_unit", {named, custom}, {a, b}, 8, 1.5);
+    std::string json =
+        campaignResultsJson("bench_unit", {named, custom}, doneCells({a, b}),
+                            8, 1.5, CampaignOptions{}, false);
 
     ASSERT_TRUE(isValidJson(json)) << json;
     for (const char *key :
@@ -296,7 +314,8 @@ TEST(SweepJson, WholeParamSpaceSerialized)
 
     SweepJob job(params, std::vector<std::string>{"gcc"}, "cell");
     std::string json =
-        sweepResultsJson("bench_unit", {job}, {SweepOutcome{}}, 1, 0.0);
+        campaignResultsJson("bench_unit", {job}, doneCells({SweepOutcome{}}),
+                            1, 0.0, CampaignOptions{}, false);
     ASSERT_TRUE(isValidJson(json));
     params.forEachParam(
         [&](const std::string &name, const std::string &value) {
