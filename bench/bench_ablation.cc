@@ -2,10 +2,9 @@
  * @file
  * Ablation bench (beyond the paper's tables): isolates the design
  * choices DESIGN.md calls out for the multithreaded mechanism —
- * window reservation, handler fetch priority, secondary-miss
- * relinking, the deadlock-avoidance squash, and the hardware walker's
- * speculative issue policy — by toggling each off individually on the
- * miss-heavy benchmarks.
+ * window reservation, handler fetch priority and secondary-miss
+ * relinking — by toggling each off individually on the miss-heavy
+ * benchmarks, next to the hardware walker for reference.
  */
 
 #include "bench_util.hh"
@@ -31,9 +30,7 @@ const Config configs[] = {
      "except.handlerFetchPriority"},
     {"no secondary relink", ExceptMech::Multithreaded,
      "except.relinkSecondaryMiss"},
-    {"hardware (spec issue)", ExceptMech::Hardware, nullptr},
-    {"hardware (no spec issue)", ExceptMech::Hardware,
-     "except.hwSpeculativeFill"},
+    {"hardware", ExceptMech::Hardware, nullptr},
 };
 
 const std::vector<std::string> ablationBenches = {"compress", "vortex",

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.hh"
 #include "sim/experiment.hh"
 
 int
@@ -40,7 +39,7 @@ main(int argc, char **argv)
         } else if (arg == "--csv") {
             dump_csv = true;
         } else if (arg.rfind("--trace=", 0) == 0) {
-            trace::setTraceFlags(arg.substr(8));
+            params.obs.trace = arg.substr(8);
         } else if (arg == "--attrib") {
             params.obs.attrib = true;
         } else if (arg.rfind("--pipeview=", 0) == 0) {

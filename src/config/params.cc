@@ -183,10 +183,6 @@ SimParams::set(const std::string &key, const std::string &value)
         return;
     }
     if (key == "except.deadlockSquash") { except.deadlockSquash = b(); return; }
-    if (key == "except.hwSpeculativeFill") {
-        except.hwSpeculativeFill = b();
-        return;
-    }
     if (key == "except.emulateFsqrt") {
         except.emulateFsqrt = b();
         return;
@@ -276,6 +272,7 @@ SimParams::set(const std::string &key, const std::string &value)
         obs.ringCapacity = unsigned(u());
         return;
     }
+    if (key == "obs.trace") { obs.trace = value; return; }
 
     if (key == "ffwd.insts") { ffwd.insts = u(); return; }
     if (key == "ffwd.warm") { ffwd.warm = b(); return; }
@@ -367,7 +364,6 @@ SimParams::forEachParam(
     b("except.handlerFetchPriority", except.handlerFetchPriority);
     b("except.relinkSecondaryMiss", except.relinkSecondaryMiss);
     b("except.deadlockSquash", except.deadlockSquash);
-    b("except.hwSpeculativeFill", except.hwSpeculativeFill);
     u("except.quickStartWarmup", except.quickStartWarmup);
     b("except.emulateFsqrt", except.emulateFsqrt);
     b("except.freeHandlerExecBw", except.freeHandlerExecBw);
@@ -409,6 +405,7 @@ SimParams::forEachParam(
     fn("obs.events", obs.events);
     b("obs.attrib", obs.attrib);
     u("obs.ringCapacity", obs.ringCapacity);
+    fn("obs.trace", obs.trace);
 
     // Fast-forward and sampling change which instructions the detailed
     // core measures, so they are simulation-relevant; ffwd.save is a

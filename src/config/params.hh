@@ -136,9 +136,6 @@ struct ExceptParams
     bool relinkSecondaryMiss = true; //!< re-link handler to older miss
     bool deadlockSquash = true;      //!< squash main tail if handler stuck
 
-    // --- Hardware-walker options -------------------------------------
-    bool hwSpeculativeFill = true;   //!< install fills for squashed misses
-
     // --- Quick-start ---------------------------------------------------
     unsigned quickStartWarmup = 8;   //!< cycles to re-prefetch the buffer
 
@@ -295,10 +292,15 @@ struct ObsParams
      *  two). Older events fall off; attribution never does. */
     unsigned ringCapacity = 1u << 20;
 
+    /** Text-trace categories streamed to stderr ("exc,retire", "all";
+     *  "" = off; see obs/texttrace.hh). */
+    std::string trace;
+
     bool
     anyEnabled() const
     {
-        return attrib || !pipeview.empty() || !events.empty();
+        return attrib || !pipeview.empty() || !events.empty() ||
+               !trace.empty();
     }
 };
 

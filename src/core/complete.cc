@@ -13,7 +13,6 @@
 
 #include "core/core.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/helper.hh"
 
 namespace zmt
@@ -69,11 +68,6 @@ SmtCore::resolveBranch(const InstPtr &inst)
         return;
 
     ++branchSquashes;
-    ZTRACE(curCycle, Squash,
-           "t%d mispredict seq=%llu pc=%#llx -> %#llx", int(inst->tid),
-           (unsigned long long)inst->seq, (unsigned long long)inst->pc,
-           (unsigned long long)(inst->actTaken ? inst->actTarget
-                                               : inst->pc + 4));
     if (inst->di.info->isReturn)
         ++bpred->rasMispredicts;
     else if (inst->di.info->isIndirect)
@@ -105,9 +99,6 @@ SmtCore::onTlbwrExecute(const InstPtr &inst)
     } else {
         asn = asnOf(ctx); // traditional inline handler
     }
-    ZTRACE(curCycle, Exc, "t%d TLBWR fill asn=%u va=%#llx",
-           int(inst->tid), unsigned(asn),
-           (unsigned long long)inst->tlbTag);
     obsEmit(obs::EventKind::Fill, *inst, inst->tlbTag);
     tlb->insert(asn, inst->tlbTag);
     installFill(asn, inst->tlbTag);
@@ -175,8 +166,6 @@ SmtCore::onHardexcExecute(const InstPtr &inst)
     panic_if(!record, "handler context with no exception record");
     ++hardReverts;
     obsEmitTid(obs::EventKind::Revert, ctx.id, uint64_t(record->master));
-    ZTRACE(curCycle, Exc, "HARDEXC revert: handler ctx=%d master=%d",
-           int(ctx.id), int(record->master));
 
     ThreadCtx &master = *contexts[record->master];
     InstPtr fault = record->faultInst; // outlives the squash
@@ -319,10 +308,6 @@ SmtCore::onTlbMiss(const InstPtr &inst)
     Addr vpn = pageNum(inst->effVa);
     ++tlbMissesSeen;
     obsEmit(obs::EventKind::MissDetect, *inst, vpn);
-    ZTRACE(curCycle, Exc, "t%d DTLB miss seq=%llu pc=%#llx va=%#llx",
-           int(ctx.id), (unsigned long long)inst->seq,
-           (unsigned long long)inst->pc,
-           (unsigned long long)inst->effVa);
 
     switch (params.except.mech) {
       case ExceptMech::PerfectTlb:
@@ -398,9 +383,6 @@ SmtCore::spawnMtHandler(const InstPtr &inst, ExcKind kind)
     }
 
     ++mtSpawns;
-    ZTRACE(curCycle, Exc, "spawn %s handler ctx=%d master=%d fault=%llu",
-           kind == ExcKind::TlbMiss ? "dtbmiss" : "emul", int(idle->id),
-           int(master.id), (unsigned long long)inst->seq);
     obsEmit(obs::EventKind::Spawn, *inst, uint64_t(idle->id),
             kind == ExcKind::EmulFsqrt ? obs::EvEmul : 0);
     if (kind == ExcKind::TlbMiss)
@@ -471,10 +453,6 @@ SmtCore::trapTraditional(const InstPtr &inst, ExcKind kind)
     panic_if(!ctx.isApp(), "traditional trap on a non-app context");
 
     ++trapSquashes;
-    ZTRACE(curCycle, Exc, "t%d trap %s seq=%llu pc=%#llx va=%#llx",
-           int(ctx.id), kind == ExcKind::TlbMiss ? "dtbmiss" : "emul",
-           (unsigned long long)inst->seq, (unsigned long long)inst->pc,
-           (unsigned long long)inst->effVa);
     obsEmit(obs::EventKind::Trap, *inst,
             kind == ExcKind::TlbMiss ? pageNum(inst->effVa) : 0,
             kind == ExcKind::EmulFsqrt ? obs::EvEmul : 0);

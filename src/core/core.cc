@@ -102,8 +102,7 @@ SmtCore::SmtCore(const SimParams &params, std::vector<Process *> apps,
     unsigned num_ctxs = numApps + idle;
 
     bpred = std::make_unique<BranchPredictor>(params.bpred, num_ctxs, this);
-    walker = std::make_unique<HwWalker>(params.except.hwSpeculativeFill,
-                                        this);
+    walker = std::make_unique<HwWalker>(this);
 
     for (unsigned i = 0; i < num_ctxs; ++i) {
         auto ctx = std::make_unique<ThreadCtx>();
@@ -139,11 +138,17 @@ SmtCore::SmtCore(const SimParams &params, std::vector<Process *> apps,
 
     if (params.obs.anyEnabled()) {
         // The ring (and disassembly labels) exist only for the
-        // pipeline view; attribution consumes the stream online via
-        // the sink and is immune to ring overflow.
+        // pipeline view; attribution and the text trace consume the
+        // stream online via sinks and are immune to ring overflow.
         bool want_ring = !params.obs.pipeview.empty();
         obsLog = std::make_unique<obs::EventLog>(
             want_ring ? params.obs.ringCapacity : 0, want_ring);
+        // The text trace goes first so an event's line is out before
+        // the analyzer can panic on it.
+        if (!params.obs.trace.empty()) {
+            obsText = std::make_unique<obs::TextTrace>(params.obs.trace);
+            obsLog->attachSink(obsText.get());
+        }
         obsTl = std::make_unique<obs::ExcTimeline>(this);
         obsLog->attachSink(obsTl.get());
     }

@@ -36,6 +36,7 @@
 #include "kernel/process.hh"
 #include "mem/hierarchy.hh"
 #include "obs/eventlog.hh"
+#include "obs/texttrace.hh"
 #include "obs/timeline.hh"
 #include "tlb/tlb.hh"
 #include "tlb/walker.hh"
@@ -434,6 +435,7 @@ class SmtCore : public stats::StatGroup
     // hooks below compile to one predicted-not-taken branch when off.
     std::unique_ptr<obs::EventLog> obsLog;
     std::unique_ptr<obs::ExcTimeline> obsTl;
+    std::unique_ptr<obs::TextTrace> obsText; //!< obs.trace
 
     void
     obsEmit(obs::EventKind kind, const DynInst &inst, uint64_t arg = 0,

@@ -13,7 +13,6 @@
 
 #include "core/core.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/helper.hh"
 #include "kernel/emulator.hh"
 
@@ -434,9 +433,6 @@ SmtCore::handlerWindowDeadlock(ThreadCtx &handler_ctx)
     ++deadlockSquashes;
     obsEmitTid(obs::EventKind::DeadlockSquash, master.id, needed,
                oldest_victim->seq);
-    ZTRACE(curCycle, Dispatch,
-           "deadlock squash: master=%d victims>=%llu need=%u",
-           int(master.id), (unsigned long long)oldest_victim->seq, needed);
     Addr resume_pc = oldest_victim->pc;
     bool resume_pal = oldest_victim->palMode;
     BpredCheckpoint chk = oldest_victim->bpChk;

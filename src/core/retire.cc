@@ -19,7 +19,6 @@
 #include "core/core.hh"
 #include "core/helper.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace zmt
 {
@@ -46,10 +45,6 @@ SmtCore::retireBlocked(ThreadCtx &ctx, const InstPtr &head)
                 // The excepting instruction is next to retire: halt the
                 // master and let the handler thread retire (Fig 1c).
                 if (!record.spliceOpen) {
-                    ZTRACE(curCycle, Retire,
-                           "splice open: master=%d handler=%d fault=%llu",
-                           int(ctx.id), int(record.handler),
-                           (unsigned long long)head->seq);
                     obsEmitTid(obs::EventKind::SpliceOpen, ctx.id,
                                uint64_t(record.handler), head->seq);
                 }
@@ -157,9 +152,6 @@ SmtCore::retireInst(ThreadCtx &ctx, const InstPtr &inst)
                 wakeTlbWaiters(asn, vpn);
             }
         }
-        ZTRACE(curCycle, Retire, "t%d handler complete (%s)",
-               int(ctx.id),
-               kind == ExcKind::TlbMiss ? "dtbmiss" : "emul");
         if (kind == ExcKind::TlbMiss) {
             ++tlbMisses;
         } else {
@@ -316,9 +308,6 @@ SmtCore::undoInst(ThreadCtx &ctx, DynInst &inst)
 void
 SmtCore::squashFrom(ThreadCtx &ctx, SeqNum first_squashed)
 {
-    ZTRACE(curCycle, Squash, "t%d squash from seq=%llu (%zu in flight)",
-           int(ctx.id), (unsigned long long)first_squashed,
-           ctx.inflight.size());
     // Youngest-first rollback of the thread's in-flight instructions.
     while (!ctx.inflight.empty() &&
            ctx.inflight.back()->seq >= first_squashed) {

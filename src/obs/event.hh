@@ -3,8 +3,8 @@
  * Typed pipeline/exception events — the vocabulary of the
  * observability subsystem. An Event is a POD stamped by the core's
  * stage hooks; consumers (the ring buffer for pipeline viewers, the
- * ExcTimeline analyzer for penalty attribution) interpret the
- * kind-specific `arg` field per the table below.
+ * ExcTimeline analyzer for penalty attribution, the TextTrace stream)
+ * interpret the kind-specific `arg` field per the table below.
  *
  * This header is a leaf: it depends only on common/types.hh so the
  * core can include it without layering cycles.
@@ -110,7 +110,7 @@ struct Event
 
 static_assert(sizeof(Event) <= 32, "keep Event cheap to copy");
 
-/** Online consumer of events (the ExcTimeline analyzer). */
+/** Online consumer of events (the ExcTimeline analyzer, TextTrace). */
 class EventSink
 {
   public:

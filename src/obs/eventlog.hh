@@ -1,11 +1,11 @@
 /**
  * @file
  * EventLog: the collection point for pipeline/exception events. Two
- * consumers with different needs hang off it:
+ * kinds of consumer with different needs hang off it:
  *
- *  - an optional online EventSink (the ExcTimeline analyzer), which
- *    sees *every* event in emission order — attribution never suffers
- *    from ring overflow;
+ *  - online EventSinks (the ExcTimeline analyzer, the TextTrace
+ *    exporter), which see *every* event in emission order —
+ *    attribution and the text trace never suffer from ring overflow;
  *  - a bounded ring buffer retaining the most recent events for the
  *    pipeline-trace exporters (Konata), plus a seq -> disassembly map
  *    populated only when a pipeline view was requested and pruned as
@@ -42,12 +42,12 @@ class EventLog
      */
     explicit EventLog(size_t ring_capacity, bool want_labels = false);
 
-    /** Record one event: forward to the sink, then ring-buffer it. */
+    /** Record one event: forward to the sinks, then ring-buffer it. */
     void
     emit(const Event &ev)
     {
         ++emitted;
-        if (sink)
+        for (EventSink *sink : sinks)
             sink->onEvent(ev);
         if (capacity == 0)
             return;
@@ -61,7 +61,8 @@ class EventLog
         }
     }
 
-    void attachSink(EventSink *s) { sink = s; }
+    /** Add a sink; sinks see each event in attach order. */
+    void attachSink(EventSink *s) { sinks.push_back(s); }
 
     bool wantLabels() const { return keepLabels; }
 
@@ -92,7 +93,7 @@ class EventLog
     /** A ring slot is being overwritten: drop state keyed to it. */
     void evict(const Event &ev);
 
-    EventSink *sink = nullptr;
+    std::vector<EventSink *> sinks;
     std::vector<Event> ring;
     size_t capacity;      //!< power of two (0 = no ring)
     size_t head = 0;      //!< oldest element once the ring is full

@@ -26,7 +26,6 @@
 #include "common/json.hh"
 #include "common/jsonparse.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace zmt
 {
@@ -672,7 +671,6 @@ SweepOutcome
 measureJob(const SweepJob &job)
 {
     SweepOutcome outcome;
-    trace::setRunLabel(job.label);
     auto start = std::chrono::steady_clock::now();
     if (!job.workloads.empty()) {
         outcome.result =
@@ -683,7 +681,6 @@ measureJob(const SweepJob &job)
     outcome.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-    trace::setRunLabel("");
     return outcome;
 }
 

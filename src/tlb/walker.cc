@@ -3,13 +3,12 @@
 namespace zmt
 {
 
-HwWalker::HwWalker(bool speculative_fill, stats::StatGroup *parent)
+HwWalker::HwWalker(stats::StatGroup *parent)
     : stats::StatGroup("walker", parent),
       walksStarted(this, "walksStarted", "page-table walks begun"),
       walksMerged(this, "walksMerged", "misses merged into active walks"),
       walksSquashed(this, "walksSquashed",
-                    "walks whose faulting instruction was squashed"),
-      speculativeFill(speculative_fill)
+                    "walks whose faulting instruction was squashed")
 {}
 
 void
@@ -47,8 +46,6 @@ HwWalker::issue(Cycle now, unsigned ports_free, MemHierarchy &mem)
             break;
         if (walk.issued)
             continue;
-        if (walk.squashed && !speculativeFill)
-            continue; // abandoned before the load went out
         walk.issued = true;
         // Load port latency (3 cycles) plus the hierarchy's answer.
         walk.dataReady = mem.dataAccess(walk.pteAddr, false, now) + 3;
@@ -62,11 +59,6 @@ HwWalker::collectFinished(Cycle now)
 {
     std::vector<WalkResult> finished;
     for (auto it = walks.begin(); it != walks.end();) {
-        bool abandoned = it->squashed && !speculativeFill && !it->issued;
-        if (abandoned) {
-            it = walks.erase(it);
-            continue;
-        }
         if (it->issued && it->dataReady <= now) {
             finished.push_back(WalkResult{it->asn, it->va, it->pteAddr,
                                           it->faultSeq, it->squashed});

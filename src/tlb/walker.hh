@@ -36,7 +36,7 @@ struct WalkResult
 class HwWalker : public stats::StatGroup
 {
   public:
-    HwWalker(bool speculative_fill, stats::StatGroup *parent);
+    explicit HwWalker(stats::StatGroup *parent);
 
     /**
      * Begin a walk for (asn, va). Walks already in flight for the same
@@ -59,10 +59,9 @@ class HwWalker : public stats::StatGroup
     std::vector<WalkResult> collectFinished(Cycle now);
 
     /**
-     * The faulting instruction was squashed. Without speculative fill
-     * the walk is abandoned; with it, the walk continues (the PTE load
-     * already polluted the cache) but is marked so the core skips the
-     * TLB install, per the paper.
+     * The faulting instruction was squashed. The walk continues (its
+     * PTE load still goes out and pollutes the cache) but is marked so
+     * the core skips the TLB install, per the paper.
      */
     void squashWalksAfter(Asn asn, SeqNum first_squashed_seq);
 
@@ -88,7 +87,6 @@ class HwWalker : public stats::StatGroup
         Cycle dataReady = MaxCycle;
     };
 
-    bool speculativeFill;
     std::deque<Walk> walks;
 };
 

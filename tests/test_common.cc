@@ -9,12 +9,10 @@
 #include <cmath>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/random.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 
@@ -267,64 +265,6 @@ TEST(Stats, ResetAllRecurses)
     root.resetAll();
     EXPECT_EQ(a.value(), 0.0);
     EXPECT_EQ(b.value(), 0.0);
-}
-
-
-TEST(Trace, ParseFlags)
-{
-    using namespace zmt::trace;
-    EXPECT_EQ(parseFlags(""), uint32_t(None));
-    EXPECT_EQ(parseFlags("exc"), uint32_t(Exc));
-    EXPECT_EQ(parseFlags("exc,retire"), uint32_t(Exc | Retire));
-    EXPECT_EQ(parseFlags("all"), uint32_t(All));
-}
-
-TEST(Trace, UnknownFlagIsFatal)
-{
-    EXPECT_EXIT(zmt::trace::parseFlags("bogus"),
-                ::testing::ExitedWithCode(1), "unknown trace flag");
-}
-
-TEST(Trace, EnableDisable)
-{
-    using namespace zmt::trace;
-    setTraceFlags(uint32_t(None));
-    EXPECT_FALSE(enabled(Exc));
-    setTraceFlags("exc,squash");
-    EXPECT_TRUE(enabled(Exc));
-    EXPECT_TRUE(enabled(Squash));
-    EXPECT_FALSE(enabled(Retire));
-    setTraceFlags(uint32_t(None));
-}
-
-TEST(Trace, FlagNames)
-{
-    using namespace zmt::trace;
-    EXPECT_STREQ(flagName(Exc), "exc");
-    EXPECT_STREQ(flagName(Retire), "retire");
-    EXPECT_STREQ(flagName(Mem), "mem");
-}
-
-// The sweep runner labels each worker's trace output with its job so
-// interleaved stderr lines stay attributable. Labels are thread-local:
-// one worker's label must never leak into another's lines.
-TEST(Trace, RunLabelIsPerThread)
-{
-    using namespace zmt::trace;
-    setRunLabel("main-job");
-    EXPECT_EQ(runLabel(), "main-job");
-
-    std::string seen = "sentinel";
-    std::thread other([&] {
-        seen = runLabel(); // fresh thread: no inherited label
-        setRunLabel("worker-job");
-    });
-    other.join();
-    EXPECT_EQ(seen, "");
-    EXPECT_EQ(runLabel(), "main-job"); // unaffected by the worker
-
-    setRunLabel("");
-    EXPECT_EQ(runLabel(), "");
 }
 
 } // anonymous namespace

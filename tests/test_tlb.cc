@@ -111,7 +111,7 @@ struct WalkerHarness
     MemHierarchy hier;
     HwWalker walker;
 
-    WalkerHarness() : hier(memParams, &root), walker(true, &root) {}
+    WalkerHarness() : hier(memParams, &root), walker(&root) {}
 };
 
 TEST(Walker, WalkCompletesWithPteLoadLatency)
@@ -219,20 +219,20 @@ TEST(Walker, RelinkMovesToOlderSeq)
     EXPECT_EQ(done[0].faultSeq, 20u);
 }
 
-TEST(Walker, AbandonedUnissuedWalkIsDropped)
+TEST(Walker, SquashedUnissuedWalkStillIssues)
 {
-    stats::StatGroup root("root");
-    MemParams mp;
-    MemHierarchy hier(mp, &root);
-    HwWalker walker(/*speculative_fill=*/false, &root);
-    walker.startWalk(1, 0x4000, 0x100000, 50);
-    walker.squashWalksAfter(1, 0);
-    // Without speculative fill the un-issued walk never touches the
-    // cache and is silently dropped.
-    EXPECT_EQ(walker.issue(0, 3, hier), 0u);
-    EXPECT_TRUE(walker.collectFinished(500).empty());
-    EXPECT_FALSE(walker.anyInFlight());
-    EXPECT_EQ(hier.dcache().misses.value(), 0.0);
+    WalkerHarness h;
+    h.walker.startWalk(1, 0x4000, 0x100000, 50);
+    h.walker.squashWalksAfter(1, 0);
+    // Squashed before its PTE load went out: the load still goes out
+    // (and touches the cache), and the walk finishes marked squashed
+    // so the core skips the fill.
+    EXPECT_EQ(h.walker.issue(0, 3, h.hier), 1u);
+    EXPECT_EQ(h.hier.dcache().misses.value(), 1.0);
+    auto done = h.walker.collectFinished(500);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_TRUE(done[0].squashed);
+    EXPECT_FALSE(h.walker.anyInFlight());
 }
 
 } // anonymous namespace

@@ -1,23 +1,20 @@
 /**
  * @file
  * Checkpoint workflow CLI: create a checkpoint by functional
- * fast-forward, inspect one, or resume detailed simulation from one.
+ * fast-forward, or inspect one.
  *
  *   checkpoint create --out FILE --insts N [key=value ...] bench...
  *   checkpoint info FILE
- *   checkpoint run FILE [--stats] [key=value ...]
  *
  * `create` fast-forwards the named benchmarks functionally (recording
  * warm TLB/cache state) and writes a zmt-checkpoint-v1 file at the
  * boundary. `info` validates the file and prints its contents without
- * simulating anything. `run` rebuilds the system from the file and
- * runs the detailed core — equivalent to
- * `zmt_sim ffwd.restore=FILE [key=value ...]`.
+ * simulating anything. To resume detailed simulation from a
+ * checkpoint, run `zmt_sim ffwd.restore=FILE [key=value ...]`.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -36,8 +33,7 @@ usage()
         stderr,
         "usage: checkpoint create --out FILE --insts N [key=value ...] "
         "bench...\n"
-        "       checkpoint info FILE\n"
-        "       checkpoint run FILE [--stats] [key=value ...]\n");
+        "       checkpoint info FILE\n");
     return 2;
 }
 
@@ -129,52 +125,6 @@ cmdInfo(int argc, char **argv)
     return 0;
 }
 
-int
-cmdRun(int argc, char **argv)
-{
-    SimParams params;
-    bool dump_stats = false;
-
-    std::string path;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg.find('=') != std::string::npos) {
-            params.setKeyValue(arg);
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (path.empty())
-        return usage();
-
-    params.ffwd.restore = path;
-    Simulator sim(params, std::vector<std::string>{});
-    CoreResult result = sim.run();
-
-    std::printf("# %s on", params.summary().c_str());
-    for (unsigned i = 0; i < sim.numProcesses(); ++i)
-        std::printf(" %s", sim.workload(i).name.c_str());
-    std::printf("\n");
-    std::printf("cycles       %llu\n", (unsigned long long)result.cycles);
-    std::printf("userInsts    %llu\n",
-                (unsigned long long)result.userInsts);
-    std::printf("ipc          %.3f\n", result.ipc);
-    std::printf("tlbMisses    %llu\n",
-                (unsigned long long)result.tlbMisses);
-    if (dump_stats)
-        sim.dumpStats(std::cout);
-    if (!result.ok()) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     runStatusName(result.status), result.error.c_str());
-        return 1;
-    }
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -187,7 +137,5 @@ main(int argc, char **argv)
         return cmdCreate(argc - 2, argv + 2);
     if (cmd == "info")
         return cmdInfo(argc - 2, argv + 2);
-    if (cmd == "run")
-        return cmdRun(argc - 2, argv + 2);
     return usage();
 }
