@@ -1,7 +1,9 @@
 #include "config/params.hh"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -88,19 +90,148 @@ CoreParams::setWidth(unsigned w)
 namespace
 {
 
-uint64_t
-parseU64(const std::string &key, const std::string &value)
+/**
+ * The one field list of SimParams: every field of every sub-struct in
+ * declaration order, each under its dotted name. set() parses into it,
+ * forEachParam() prints from it, and the baseline cache keys on what it
+ * prints, so omitting a field here would silently alias configurations
+ * that simulate differently (the pre-sweep baselineKey() bug). Adding
+ * a parameter to SimParams means adding one line here.
+ */
+template <typename Params, typename Visitor>
+void
+visitFields(Params &p, Visitor &&v)
 {
+    v("core.width", p.core.width);
+    v("core.windowSize", p.core.windowSize);
+    v("core.fetchDepth", p.core.fetchDepth);
+    v("core.decodeDepth", p.core.decodeDepth);
+    v("core.schedDepth", p.core.schedDepth);
+    v("core.regReadDepth", p.core.regReadDepth);
+    v("core.fetchBufEntries", p.core.fetchBufEntries);
+    v("core.intAluCount", p.core.intAluCount);
+    v("core.intMulCount", p.core.intMulCount);
+    v("core.fpAddCount", p.core.fpAddCount);
+    v("core.fpDivCount", p.core.fpDivCount);
+    v("core.lsPortCount", p.core.lsPortCount);
+    v("core.idleSkip", p.core.idleSkip);
+
+    v("mem.l1iSizeKb", p.mem.l1iSizeKb);
+    v("mem.l1iAssoc", p.mem.l1iAssoc);
+    v("mem.l1iLineBytes", p.mem.l1iLineBytes);
+    v("mem.l1dSizeKb", p.mem.l1dSizeKb);
+    v("mem.l1dAssoc", p.mem.l1dAssoc);
+    v("mem.l1dLineBytes", p.mem.l1dLineBytes);
+    v("mem.l2SizeKb", p.mem.l2SizeKb);
+    v("mem.l2Assoc", p.mem.l2Assoc);
+    v("mem.l2LineBytes", p.mem.l2LineBytes);
+    v("mem.l2Latency", p.mem.l2Latency);
+    v("mem.maxOutstandingMisses", p.mem.maxOutstandingMisses);
+    v("mem.l1l2BusCyclesPerBlock", p.mem.l1l2BusCyclesPerBlock);
+    v("mem.l2MemBusCycles", p.mem.l2MemBusCycles);
+    v("mem.memLatency", p.mem.memLatency);
+
+    v("tlb.dtlbEntries", p.tlb.dtlbEntries);
+
+    v("bpred.yagsChoiceBits", p.bpred.yagsChoiceBits);
+    v("bpred.yagsExcBits", p.bpred.yagsExcBits);
+    v("bpred.yagsTagBits", p.bpred.yagsTagBits);
+    v("bpred.indirectBtbBits", p.bpred.indirectBtbBits);
+    v("bpred.indirectExcBits", p.bpred.indirectExcBits);
+    v("bpred.rasEntries", p.bpred.rasEntries);
+    v("bpred.historyBits", p.bpred.historyBits);
+
+    v("except.mech", p.except.mech);
+    v("except.idleThreads", p.except.idleThreads);
+    v("except.windowReservation", p.except.windowReservation);
+    v("except.handlerFetchPriority", p.except.handlerFetchPriority);
+    v("except.relinkSecondaryMiss", p.except.relinkSecondaryMiss);
+    v("except.deadlockSquash", p.except.deadlockSquash);
+    v("except.quickStartWarmup", p.except.quickStartWarmup);
+    v("except.emulateFsqrt", p.except.emulateFsqrt);
+    v("except.freeHandlerExecBw", p.except.freeHandlerExecBw);
+    v("except.freeHandlerWindow", p.except.freeHandlerWindow);
+    v("except.freeHandlerFetchBw", p.except.freeHandlerFetchBw);
+    v("except.instantHandlerFetch", p.except.instantHandlerFetch);
+
+    v("verify.invariantPeriod", p.verify.invariantPeriod);
+    v("verify.seed", p.verify.seed);
+    v("verify.badPteProb", p.verify.badPteProb);
+    v("verify.stealIdleProb", p.verify.stealIdleProb);
+    v("verify.forceSecondaryMissProb", p.verify.forceSecondaryMissProb);
+    v("verify.squeezePeriod", p.verify.squeezePeriod);
+    v("verify.squeezeDuration", p.verify.squeezeDuration);
+    v("verify.squeezeWindowTo", p.verify.squeezeWindowTo);
+    v("verify.handlerSquashPeriod", p.verify.handlerSquashPeriod);
+    v("verify.mutateSpliceBug", p.verify.mutateSpliceBug);
+    v("verify.panicAtCycle", p.verify.panicAtCycle);
+
+    v("helper.prefetch", p.helper.prefetch);
+    v("helper.prefetchDegree", p.helper.prefetchDegree);
+    v("helper.prefetchDistance", p.helper.prefetchDistance);
+    v("helper.prefetchTableSize", p.helper.prefetchTableSize);
+    v("helper.prefetchQueue", p.helper.prefetchQueue);
+    v("helper.checker", p.helper.checker);
+    v("helper.checkBase", p.helper.checkBase);
+    v("helper.checkLen", p.helper.checkLen);
+    v("helper.watchBase", p.helper.watchBase);
+    v("helper.watchLen", p.helper.watchLen);
+    v("helper.syncBase", p.helper.syncBase);
+    v("helper.syncLen", p.helper.syncLen);
+    v("helper.traceCap", p.helper.traceCap);
+
+    // Observability never changes simulated behavior, but the list
+    // stays exhaustive; experiment.cc clears obs on its perfect-TLB
+    // baseline copy so baseline sharing is unaffected by per-run trace
+    // paths.
+    v("obs.pipeview", p.obs.pipeview);
+    v("obs.events", p.obs.events);
+    v("obs.attrib", p.obs.attrib);
+    v("obs.ringCapacity", p.obs.ringCapacity);
+    v("obs.trace", p.obs.trace);
+
+    // Fast-forward and sampling change which instructions the detailed
+    // core measures, so they are simulation-relevant; ffwd.save is a
+    // pure output path, but the list stays exhaustive (experiment.cc
+    // clears it on the baseline copy, like obs).
+    v("ffwd.insts", p.ffwd.insts);
+    v("ffwd.warm", p.ffwd.warm);
+    v("ffwd.save", p.ffwd.save);
+    v("ffwd.restore", p.ffwd.restore);
+    v("sample.period", p.sample.periodInsts);
+    v("sample.detail", p.sample.detailInsts);
+    v("sample.warmup", p.sample.warmupInsts);
+
+    v("maxInsts", p.maxInsts);
+    v("warmupInsts", p.warmupInsts);
+    v("seed", p.seed);
+    v("watchdogCycles", p.watchdogCycles);
+}
+
+/** A non-negative integer no larger than @p max, in any stoull base. */
+uint64_t
+parseU64(const std::string &key, const std::string &value, uint64_t max)
+{
+    size_t pos = 0;
+    uint64_t v = 0;
     try {
-        size_t pos = 0;
-        uint64_t v = std::stoull(value, &pos, 0);
-        fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
-                 key.c_str(), value.c_str());
-        return v;
+        v = std::stoull(value, &pos, 0);
     } catch (const std::exception &) {
-        fatal("bad numeric value for %s: '%s'", key.c_str(), value.c_str());
-        return 0;
+        pos = 0;
     }
+    // stoull wraps a negative value instead of rejecting it.
+    fatal_if(pos == 0 || v > max || value.find('-') != std::string::npos,
+             "bad numeric value for %s: '%s'", key.c_str(), value.c_str());
+    fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
+             key.c_str(), value.c_str());
+    return v;
+}
+
+unsigned
+parseUnsigned(const std::string &key, const std::string &value)
+{
+    return unsigned(
+        parseU64(key, value, std::numeric_limits<unsigned>::max()));
 }
 
 double
@@ -129,166 +260,65 @@ parseBool(const std::string &key, const std::string &value)
     return false;
 }
 
+template <typename T>
+void
+parseField(const std::string &key, const std::string &value, T &field)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        field = parseBool(key, value);
+    else if constexpr (std::is_integral_v<T>)
+        field = T(parseU64(key, value, std::numeric_limits<T>::max()));
+    else if constexpr (std::is_same_v<T, double>)
+        field = parseDouble(key, value);
+    else if constexpr (std::is_same_v<T, std::string>)
+        field = value;
+    else
+        field = parseMech(value); // the one enum field, except.mech
+}
+
+template <typename T>
+std::string
+formatField(const T &field)
+{
+    if constexpr (std::is_same_v<T, double>) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", field);
+        return buf;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return field ? "1" : "0";
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return field;
+    } else if constexpr (std::is_same_v<T, ExceptMech>) {
+        return mechName(field);
+    } else {
+        return std::to_string(field);
+    }
+}
+
 } // anonymous namespace
 
 void
 SimParams::set(const std::string &key, const std::string &value)
 {
-    auto u = [&] { return parseU64(key, value); };
-    auto b = [&] { return parseBool(key, value); };
-
-    if (key == "core.width") { core.setWidth(unsigned(u())); return; }
-    if (key == "core.windowSize") { core.windowSize = unsigned(u()); return; }
+    // The Figure 2/3 sweep helpers: core.width also pairs the window
+    // and FU pool (printed after it, so a replay of forEachParam keeps
+    // any non-paired value), and core.frontendDepth is not a field.
+    if (key == "core.width") {
+        core.setWidth(parseUnsigned(key, value));
+        return;
+    }
     if (key == "core.frontendDepth") {
-        core.setFrontendDepth(unsigned(u()));
+        core.setFrontendDepth(parseUnsigned(key, value));
         return;
     }
-    if (key == "core.fetchDepth") { core.fetchDepth = unsigned(u()); return; }
-    if (key == "core.regReadDepth") {
-        core.regReadDepth = unsigned(u());
-        return;
-    }
-    if (key == "core.fetchBufEntries") {
-        core.fetchBufEntries = unsigned(u());
-        return;
-    }
-    if (key == "core.lsPortCount") { core.lsPortCount = unsigned(u()); return; }
-    if (key == "core.idleSkip") { core.idleSkip = b(); return; }
-
-    if (key == "mem.l1dSizeKb") { mem.l1dSizeKb = unsigned(u()); return; }
-    if (key == "mem.l2SizeKb") { mem.l2SizeKb = unsigned(u()); return; }
-    if (key == "mem.memLatency") { mem.memLatency = unsigned(u()); return; }
-    if (key == "mem.maxOutstandingMisses") {
-        mem.maxOutstandingMisses = unsigned(u());
-        return;
-    }
-
-    if (key == "tlb.dtlbEntries") { tlb.dtlbEntries = unsigned(u()); return; }
-
-    if (key == "except.mech") { except.mech = parseMech(value); return; }
-    if (key == "except.idleThreads") {
-        except.idleThreads = unsigned(u());
-        return;
-    }
-    if (key == "except.windowReservation") {
-        except.windowReservation = b();
-        return;
-    }
-    if (key == "except.handlerFetchPriority") {
-        except.handlerFetchPriority = b();
-        return;
-    }
-    if (key == "except.relinkSecondaryMiss") {
-        except.relinkSecondaryMiss = b();
-        return;
-    }
-    if (key == "except.deadlockSquash") { except.deadlockSquash = b(); return; }
-    if (key == "except.emulateFsqrt") {
-        except.emulateFsqrt = b();
-        return;
-    }
-    if (key == "except.quickStartWarmup") {
-        except.quickStartWarmup = unsigned(u());
-        return;
-    }
-    if (key == "except.freeHandlerExecBw") {
-        except.freeHandlerExecBw = b();
-        return;
-    }
-    if (key == "except.freeHandlerWindow") {
-        except.freeHandlerWindow = b();
-        return;
-    }
-    if (key == "except.freeHandlerFetchBw") {
-        except.freeHandlerFetchBw = b();
-        return;
-    }
-    if (key == "except.instantHandlerFetch") {
-        except.instantHandlerFetch = b();
-        return;
-    }
-
-    auto d = [&] { return parseDouble(key, value); };
-    if (key == "verify.invariantPeriod") {
-        verify.invariantPeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.seed") { verify.seed = u(); return; }
-    if (key == "verify.badPteProb") { verify.badPteProb = d(); return; }
-    if (key == "verify.stealIdleProb") { verify.stealIdleProb = d(); return; }
-    if (key == "verify.forceSecondaryMissProb") {
-        verify.forceSecondaryMissProb = d();
-        return;
-    }
-    if (key == "verify.squeezePeriod") {
-        verify.squeezePeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.squeezeDuration") {
-        verify.squeezeDuration = unsigned(u());
-        return;
-    }
-    if (key == "verify.squeezeWindowTo") {
-        verify.squeezeWindowTo = unsigned(u());
-        return;
-    }
-    if (key == "verify.handlerSquashPeriod") {
-        verify.handlerSquashPeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.mutateSpliceBug") { verify.mutateSpliceBug = b(); return; }
-    if (key == "verify.panicAtCycle") { verify.panicAtCycle = u(); return; }
-
-    if (key == "helper.prefetch") { helper.prefetch = b(); return; }
-    if (key == "helper.prefetchDegree") {
-        helper.prefetchDegree = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchDistance") {
-        helper.prefetchDistance = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchTableSize") {
-        helper.prefetchTableSize = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchQueue") {
-        helper.prefetchQueue = unsigned(u());
-        return;
-    }
-    if (key == "helper.checker") { helper.checker = b(); return; }
-    if (key == "helper.checkBase") { helper.checkBase = u(); return; }
-    if (key == "helper.checkLen") { helper.checkLen = u(); return; }
-    if (key == "helper.watchBase") { helper.watchBase = u(); return; }
-    if (key == "helper.watchLen") { helper.watchLen = u(); return; }
-    if (key == "helper.syncBase") { helper.syncBase = u(); return; }
-    if (key == "helper.syncLen") { helper.syncLen = u(); return; }
-    if (key == "helper.traceCap") { helper.traceCap = unsigned(u()); return; }
-
-    if (key == "obs.pipeview") { obs.pipeview = value; return; }
-    if (key == "obs.events") { obs.events = value; return; }
-    if (key == "obs.attrib") { obs.attrib = b(); return; }
-    if (key == "obs.ringCapacity") {
-        obs.ringCapacity = unsigned(u());
-        return;
-    }
-    if (key == "obs.trace") { obs.trace = value; return; }
-
-    if (key == "ffwd.insts") { ffwd.insts = u(); return; }
-    if (key == "ffwd.warm") { ffwd.warm = b(); return; }
-    if (key == "ffwd.save") { ffwd.save = value; return; }
-    if (key == "ffwd.restore") { ffwd.restore = value; return; }
-
-    if (key == "sample.period") { sample.periodInsts = u(); return; }
-    if (key == "sample.detail") { sample.detailInsts = u(); return; }
-    if (key == "sample.warmup") { sample.warmupInsts = u(); return; }
-
-    if (key == "maxInsts") { maxInsts = u(); return; }
-    if (key == "warmupInsts") { warmupInsts = u(); return; }
-    if (key == "seed") { seed = u(); return; }
-    if (key == "watchdogCycles") { watchdogCycles = u(); return; }
-
-    fatal("unknown parameter '%s'", key.c_str());
+    bool found = false;
+    visitFields(*this, [&](const char *name, auto &field) {
+        if (!found && key == name) {
+            parseField(key, value, field);
+            found = true;
+        }
+    });
+    fatal_if(!found, "unknown parameter '%s'", key.c_str());
 }
 
 void
@@ -305,124 +335,9 @@ SimParams::forEachParam(
     const std::function<void(const std::string &,
                              const std::string &)> &fn) const
 {
-    auto u = [&](const char *name, uint64_t v) {
-        fn(name, std::to_string(v));
-    };
-    auto b = [&](const char *name, bool v) { fn(name, v ? "1" : "0"); };
-    auto d = [&](const char *name, double v) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        fn(name, buf);
-    };
-
-    // Every field of every sub-struct, in declaration order. The
-    // baseline cache keys on this list: omitting a field here would
-    // silently alias configurations that simulate differently (the
-    // pre-sweep baselineKey() bug), so keep it exhaustive.
-    u("core.width", core.width);
-    u("core.windowSize", core.windowSize);
-    u("core.fetchDepth", core.fetchDepth);
-    u("core.decodeDepth", core.decodeDepth);
-    u("core.schedDepth", core.schedDepth);
-    u("core.regReadDepth", core.regReadDepth);
-    u("core.fetchBufEntries", core.fetchBufEntries);
-    u("core.intAluCount", core.intAluCount);
-    u("core.intMulCount", core.intMulCount);
-    u("core.fpAddCount", core.fpAddCount);
-    u("core.fpDivCount", core.fpDivCount);
-    u("core.lsPortCount", core.lsPortCount);
-    b("core.idleSkip", core.idleSkip);
-
-    u("mem.l1iSizeKb", mem.l1iSizeKb);
-    u("mem.l1iAssoc", mem.l1iAssoc);
-    u("mem.l1iLineBytes", mem.l1iLineBytes);
-    u("mem.l1dSizeKb", mem.l1dSizeKb);
-    u("mem.l1dAssoc", mem.l1dAssoc);
-    u("mem.l1dLineBytes", mem.l1dLineBytes);
-    u("mem.l2SizeKb", mem.l2SizeKb);
-    u("mem.l2Assoc", mem.l2Assoc);
-    u("mem.l2LineBytes", mem.l2LineBytes);
-    u("mem.l2Latency", mem.l2Latency);
-    u("mem.maxOutstandingMisses", mem.maxOutstandingMisses);
-    u("mem.l1l2BusCyclesPerBlock", mem.l1l2BusCyclesPerBlock);
-    u("mem.l2MemBusCycles", mem.l2MemBusCycles);
-    u("mem.memLatency", mem.memLatency);
-
-    u("tlb.dtlbEntries", tlb.dtlbEntries);
-
-    u("bpred.yagsChoiceBits", bpred.yagsChoiceBits);
-    u("bpred.yagsExcBits", bpred.yagsExcBits);
-    u("bpred.yagsTagBits", bpred.yagsTagBits);
-    u("bpred.indirectBtbBits", bpred.indirectBtbBits);
-    u("bpred.indirectExcBits", bpred.indirectExcBits);
-    u("bpred.rasEntries", bpred.rasEntries);
-    u("bpred.historyBits", bpred.historyBits);
-
-    fn("except.mech", mechName(except.mech));
-    u("except.idleThreads", except.idleThreads);
-    b("except.windowReservation", except.windowReservation);
-    b("except.handlerFetchPriority", except.handlerFetchPriority);
-    b("except.relinkSecondaryMiss", except.relinkSecondaryMiss);
-    b("except.deadlockSquash", except.deadlockSquash);
-    u("except.quickStartWarmup", except.quickStartWarmup);
-    b("except.emulateFsqrt", except.emulateFsqrt);
-    b("except.freeHandlerExecBw", except.freeHandlerExecBw);
-    b("except.freeHandlerWindow", except.freeHandlerWindow);
-    b("except.freeHandlerFetchBw", except.freeHandlerFetchBw);
-    b("except.instantHandlerFetch", except.instantHandlerFetch);
-
-    u("verify.invariantPeriod", verify.invariantPeriod);
-    u("verify.seed", verify.seed);
-    d("verify.badPteProb", verify.badPteProb);
-    d("verify.stealIdleProb", verify.stealIdleProb);
-    d("verify.forceSecondaryMissProb", verify.forceSecondaryMissProb);
-    u("verify.squeezePeriod", verify.squeezePeriod);
-    u("verify.squeezeDuration", verify.squeezeDuration);
-    u("verify.squeezeWindowTo", verify.squeezeWindowTo);
-    u("verify.handlerSquashPeriod", verify.handlerSquashPeriod);
-    b("verify.mutateSpliceBug", verify.mutateSpliceBug);
-    u("verify.panicAtCycle", verify.panicAtCycle);
-
-    b("helper.prefetch", helper.prefetch);
-    u("helper.prefetchDegree", helper.prefetchDegree);
-    u("helper.prefetchDistance", helper.prefetchDistance);
-    u("helper.prefetchTableSize", helper.prefetchTableSize);
-    u("helper.prefetchQueue", helper.prefetchQueue);
-    b("helper.checker", helper.checker);
-    u("helper.checkBase", helper.checkBase);
-    u("helper.checkLen", helper.checkLen);
-    u("helper.watchBase", helper.watchBase);
-    u("helper.watchLen", helper.watchLen);
-    u("helper.syncBase", helper.syncBase);
-    u("helper.syncLen", helper.syncLen);
-    u("helper.traceCap", helper.traceCap);
-
-    // Observability never changes simulated behavior, but the field
-    // list stays exhaustive per the contract above; experiment.cc
-    // clears obs on its perfect-TLB baseline copy so baseline sharing
-    // is unaffected by per-run trace paths.
-    fn("obs.pipeview", obs.pipeview);
-    fn("obs.events", obs.events);
-    b("obs.attrib", obs.attrib);
-    u("obs.ringCapacity", obs.ringCapacity);
-    fn("obs.trace", obs.trace);
-
-    // Fast-forward and sampling change which instructions the detailed
-    // core measures, so they are simulation-relevant; ffwd.save is a
-    // pure output path, but the exhaustive-list contract keeps it here
-    // (experiment.cc clears it on the baseline copy, like obs).
-    u("ffwd.insts", ffwd.insts);
-    b("ffwd.warm", ffwd.warm);
-    fn("ffwd.save", ffwd.save);
-    fn("ffwd.restore", ffwd.restore);
-    u("sample.period", sample.periodInsts);
-    u("sample.detail", sample.detailInsts);
-    u("sample.warmup", sample.warmupInsts);
-
-    u("maxInsts", maxInsts);
-    u("warmupInsts", warmupInsts);
-    u("seed", seed);
-    u("watchdogCycles", watchdogCycles);
+    visitFields(*this, [&](const char *name, const auto &field) {
+        fn(name, formatField(field));
+    });
 }
 
 std::string

@@ -398,7 +398,11 @@ struct SimParams
 
     /**
      * Set a parameter by dotted name, e.g. "core.width=4" or
-     * "except.mech=multithreaded". Fatal on unknown keys/values.
+     * "except.mech=multithreaded". Every name forEachParam prints is
+     * accepted, plus the sweep helper "core.frontendDepth"; a replay
+     * of forEachParam through set() reproduces canonicalKey(). Fatal
+     * on unknown keys and on values the field cannot hold (negative
+     * or out-of-range numbers, non-boolean flags, unknown mechanisms).
      */
     void set(const std::string &key, const std::string &value);
 
@@ -414,7 +418,8 @@ struct SimParams
      * enumeration behind canonicalKey() and the sweep runner's JSON
      * output: a field listed here is part of the baseline-cache
      * contract (src/sim/experiment.cc), so any new SimParams field
-     * must be added to the implementation in params.cc.
+     * must be added to visitFields() in params.cc, which drives both
+     * this and set().
      */
     void forEachParam(
         const std::function<void(const std::string &,

@@ -153,135 +153,6 @@ parseProc(const TokenMap &kv, CheckpointProc *p, std::string *why)
 } // anonymous namespace
 
 bool
-parseWorkloadKey(const std::string &text, WorkloadParams *wp,
-                 std::string *why)
-{
-    WorkloadParams w;
-    w.name.clear();
-    unsigned fields = 0;
-
-    auto setU = [](unsigned *dst, const std::string &v) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0')
-            return false;
-        *dst = unsigned(parsed);
-        return true;
-    };
-    auto setU64 = [](uint64_t *dst, const std::string &v) {
-        char *end = nullptr;
-        *dst = std::strtoull(v.c_str(), &end, 10);
-        return end != v.c_str() && *end == '\0';
-    };
-    auto setB = [](bool *dst, const std::string &v) {
-        if (v != "0" && v != "1")
-            return false;
-        *dst = v == "1";
-        return true;
-    };
-
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t semi = text.find(';', pos);
-        if (semi == std::string::npos) {
-            *why = "workload key not ';'-terminated";
-            return false;
-        }
-        std::string entry = text.substr(pos, semi - pos);
-        pos = semi + 1;
-        size_t eq = entry.find('=');
-        if (eq == std::string::npos) {
-            *why = "malformed workload field '" + entry + "'";
-            return false;
-        }
-        std::string key = entry.substr(0, eq);
-        std::string value = entry.substr(eq + 1);
-
-        bool ok;
-        if (key == "name") {
-            w.name = value;
-            ok = true;
-        } else if (key == "farLoadsPerOuter") {
-            ok = setU(&w.farLoadsPerOuter, value);
-        } else if (key == "innerIters") {
-            ok = setU(&w.innerIters, value);
-        } else if (key == "farPagesLog2") {
-            ok = setU(&w.farPagesLog2, value);
-        } else if (key == "hotBytesLog2") {
-            ok = setU(&w.hotBytesLog2, value);
-        } else if (key == "aluChains") {
-            ok = setU(&w.aluChains, value);
-        } else if (key == "aluOpsPerChain") {
-            ok = setU(&w.aluOpsPerChain, value);
-        } else if (key == "fpChains") {
-            ok = setU(&w.fpChains, value);
-        } else if (key == "fpOpsPerChain") {
-            ok = setU(&w.fpOpsPerChain, value);
-        } else if (key == "useFpDiv") {
-            ok = setB(&w.useFpDiv, value);
-        } else if (key == "fsqrtOps") {
-            ok = setU(&w.fsqrtOps, value);
-        } else if (key == "serialMuls") {
-            ok = setU(&w.serialMuls, value);
-        } else if (key == "hotLoads") {
-            ok = setU(&w.hotLoads, value);
-        } else if (key == "hotStores") {
-            ok = setU(&w.hotStores, value);
-        } else if (key == "chaseLoads") {
-            ok = setU(&w.chaseLoads, value);
-        } else if (key == "farFeedsChase") {
-            ok = setB(&w.farFeedsChase, value);
-        } else if (key == "randomBranches") {
-            ok = setU(&w.randomBranches, value);
-        } else if (key == "indirectFarJumps") {
-            ok = setU(&w.indirectFarJumps, value);
-        } else if (key == "ifjFarMask") {
-            ok = setU(&w.ifjFarMask, value);
-        } else if (key == "seed") {
-            ok = setU64(&w.seed, value);
-        } else if (key == "textBase") {
-            ok = setU64(&w.textBase, value);
-        } else if (key == "hotBase") {
-            ok = setU64(&w.hotBase, value);
-        } else if (key == "farBase") {
-            ok = setU64(&w.farBase, value);
-        } else if (key == "sharedGroup") {
-            ok = setU(&w.sharedGroup, value);
-        } else if (key == "sharedBytesLog2") {
-            ok = setU(&w.sharedBytesLog2, value);
-        } else if (key == "sharedStores") {
-            ok = setU(&w.sharedStores, value);
-        } else if (key == "sharedLoads") {
-            ok = setU(&w.sharedLoads, value);
-        } else if (key == "sliceIndex") {
-            ok = setU(&w.sliceIndex, value);
-        } else if (key == "sliceCount") {
-            ok = setU(&w.sliceCount, value);
-        } else if (key == "sharedBase") {
-            ok = setU64(&w.sharedBase, value);
-        } else {
-            *why = "unknown workload field '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            *why = "malformed workload value '" + entry + "'";
-            return false;
-        }
-        ++fields;
-    }
-    // canonicalKey emits exactly these 30 fields; fewer means the key
-    // was truncated, and duplicates cannot make up for missing ones
-    // (each would have to displace another, failing a value check).
-    if (fields != 30) {
-        *why = "workload key has " + std::to_string(fields) +
-               " fields, expected 30";
-        return false;
-    }
-    *wp = std::move(w);
-    return true;
-}
-
-bool
 saveCheckpoint(const CheckpointData &data, const std::string &path,
                std::string *error)
 {

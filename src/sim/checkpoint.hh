@@ -99,14 +99,6 @@ bool loadCheckpoint(const std::string &path, CheckpointData *data,
 void applyWarmState(SmtCore &core, const std::vector<WarmPage> &pages,
                     const std::vector<WarmLine> &lines);
 
-/**
- * Parse a WorkloadParams canonical serialization (the exact format
- * canonicalKey(WorkloadParams) emits). @return false with @p why set
- * on unknown keys, malformed values, or missing fields.
- */
-bool parseWorkloadKey(const std::string &text, WorkloadParams *wp,
-                      std::string *why);
-
 } // namespace zmt
 
 #endif // ZMT_SIM_CHECKPOINT_HH

@@ -107,7 +107,9 @@ unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
  *     "params": {dotted-name: value} }
  *
  * "params" carries the exact configuration via SimParams::forEachParam,
- * so a cell can be re-run bit-identically from the file alone. Every
+ * so a cell of named benchmarks re-runs bit-identically as
+ * `zmt_sim <params as key=value> <benchmarks>` (the CI debug leg checks
+ * every fig5 cell); custom workloads are recorded by name only. Every
  * cell carries its submission "index" so shard/resume outputs merge
  * back into submission order (tools/sweep_merge), and a "failure"
  * member — @p failureJson is "null" for a clean run or a structured

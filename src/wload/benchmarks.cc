@@ -6,11 +6,17 @@
  * approximate base IPC (Table 4), plus qualitative character: FP
  * content (applu, hydro2d), pointer chasing (deltablue), wrong-path
  * far loads (gcc), wide integer ILP (vortex, murphi, alphadoom).
+ * Also the workload key: canonicalKey() and parseWorkloadKey() print
+ * and read one field list, so a key round-trips exactly.
  */
 
 #include "wload/workload.hh"
 
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -204,35 +210,116 @@ shortName(const std::string &bench)
     return bench;
 }
 
+namespace
+{
+
+/**
+ * The one field list of WorkloadParams, in key order: canonicalKey()
+ * prints it and parseWorkloadKey() reads it back. Every field that
+ * affects the generated program belongs here.
+ */
+template <typename Workload, typename Visitor>
+void
+visitFields(Workload &w, Visitor &&v)
+{
+    v("name", w.name);
+    v("farLoadsPerOuter", w.farLoadsPerOuter);
+    v("innerIters", w.innerIters);
+    v("farPagesLog2", w.farPagesLog2);
+    v("hotBytesLog2", w.hotBytesLog2);
+    v("aluChains", w.aluChains);
+    v("aluOpsPerChain", w.aluOpsPerChain);
+    v("fpChains", w.fpChains);
+    v("fpOpsPerChain", w.fpOpsPerChain);
+    v("useFpDiv", w.useFpDiv);
+    v("fsqrtOps", w.fsqrtOps);
+    v("serialMuls", w.serialMuls);
+    v("hotLoads", w.hotLoads);
+    v("hotStores", w.hotStores);
+    v("chaseLoads", w.chaseLoads);
+    v("farFeedsChase", w.farFeedsChase);
+    v("randomBranches", w.randomBranches);
+    v("indirectFarJumps", w.indirectFarJumps);
+    v("ifjFarMask", w.ifjFarMask);
+    v("seed", w.seed);
+    v("textBase", w.textBase);
+    v("hotBase", w.hotBase);
+    v("farBase", w.farBase);
+    v("sharedGroup", w.sharedGroup);
+    v("sharedBytesLog2", w.sharedBytesLog2);
+    v("sharedStores", w.sharedStores);
+    v("sharedLoads", w.sharedLoads);
+    v("sliceIndex", w.sliceIndex);
+    v("sliceCount", w.sliceCount);
+    v("sharedBase", w.sharedBase);
+}
+
+template <typename T>
+bool
+parseValue(const std::string &text, T &field)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        field = text;
+        return true;
+    } else {
+        // Plain decimal digits only: no sign, space or base prefix.
+        if (text.empty() ||
+            text.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        errno = 0;
+        uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+        if (errno == ERANGE || v > uint64_t(std::numeric_limits<T>::max()))
+            return false;
+        field = T(v);
+        return true;
+    }
+}
+
+} // anonymous namespace
+
 std::string
 canonicalKey(const WorkloadParams &p)
 {
     std::ostringstream os;
-    os << "name=" << p.name << ";farLoadsPerOuter=" << p.farLoadsPerOuter
-       << ";innerIters=" << p.innerIters
-       << ";farPagesLog2=" << p.farPagesLog2
-       << ";hotBytesLog2=" << p.hotBytesLog2
-       << ";aluChains=" << p.aluChains
-       << ";aluOpsPerChain=" << p.aluOpsPerChain
-       << ";fpChains=" << p.fpChains
-       << ";fpOpsPerChain=" << p.fpOpsPerChain
-       << ";useFpDiv=" << p.useFpDiv << ";fsqrtOps=" << p.fsqrtOps
-       << ";serialMuls=" << p.serialMuls << ";hotLoads=" << p.hotLoads
-       << ";hotStores=" << p.hotStores << ";chaseLoads=" << p.chaseLoads
-       << ";farFeedsChase=" << p.farFeedsChase
-       << ";randomBranches=" << p.randomBranches
-       << ";indirectFarJumps=" << p.indirectFarJumps
-       << ";ifjFarMask=" << p.ifjFarMask << ";seed=" << p.seed
-       << ";textBase=" << p.textBase << ";hotBase=" << p.hotBase
-       << ";farBase=" << p.farBase
-       << ";sharedGroup=" << p.sharedGroup
-       << ";sharedBytesLog2=" << p.sharedBytesLog2
-       << ";sharedStores=" << p.sharedStores
-       << ";sharedLoads=" << p.sharedLoads
-       << ";sliceIndex=" << p.sliceIndex
-       << ";sliceCount=" << p.sliceCount
-       << ";sharedBase=" << p.sharedBase << ";";
+    visitFields(p, [&](const char *name, const auto &field) {
+        os << name << '=' << field << ';';
+    });
     return os.str();
+}
+
+bool
+parseWorkloadKey(const std::string &text, WorkloadParams *wp,
+                 std::string *why)
+{
+    WorkloadParams w;
+    size_t pos = 0;
+    bool ok = true;
+    auto fail = [&](const std::string &message) {
+        *why = message;
+        ok = false;
+    };
+    // Fields must appear in exactly the order canonicalKey writes them.
+    visitFields(w, [&](const char *name, auto &field) {
+        if (!ok)
+            return;
+        const std::string prefix = std::string(name) + "=";
+        if (text.compare(pos, prefix.size(), prefix) != 0)
+            return fail("expected workload field '" + std::string(name) +
+                        "'");
+        size_t semi = text.find(';', pos);
+        if (semi == std::string::npos)
+            return fail("workload key not ';'-terminated");
+        size_t start = pos + prefix.size();
+        if (!parseValue(text.substr(start, semi - start), field))
+            return fail("malformed workload value '" +
+                        text.substr(pos, semi - pos) + "'");
+        pos = semi + 1;
+    });
+    if (ok && pos != text.size())
+        fail("unknown workload field '" + text.substr(pos) + "'");
+    if (ok)
+        *wp = std::move(w);
+    return ok;
 }
 
 } // namespace zmt

@@ -122,6 +122,15 @@ std::string shortName(const std::string &bench);
  */
 std::string canonicalKey(const WorkloadParams &params);
 
+/**
+ * Parse what canonicalKey() prints, field for field in the same order.
+ * @return false with @p why set on a missing, unknown or reordered
+ * field, a missing ';', or a value that is not a plain decimal number
+ * in the field's range (0/1 for a bool).
+ */
+bool parseWorkloadKey(const std::string &text, WorkloadParams *wp,
+                      std::string *why);
+
 } // namespace zmt
 
 #endif // ZMT_WLOAD_WORKLOAD_HH

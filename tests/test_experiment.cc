@@ -238,6 +238,62 @@ TEST(Params, BadValueIsFatal)
                 ::testing::ExitedWithCode(1), "unknown exception");
 }
 
+// A value the field cannot hold is an error, not a silent wrap or
+// truncation (4294967360 used to run with a 64-entry window, -1 with a
+// 2^32-1 one that panicked later, and maxInsts=-1 meant 2^64-1).
+TEST(Params, OutOfRangeValueIsFatal)
+{
+    for (const char *assignment :
+         {"core.windowSize=4294967360", "core.windowSize=-1",
+          "core.width=-4", "core.frontendDepth=4294967303",
+          "maxInsts=-1", "seed=18446744073709551616",
+          "helper.checkBase=-0x10"}) {
+        SimParams params;
+        EXPECT_EXIT(params.setKeyValue(assignment),
+                    ::testing::ExitedWithCode(1), "bad numeric value")
+            << assignment;
+    }
+    SimParams params;
+    params.setKeyValue("core.windowSize=4294967295");
+    EXPECT_EQ(params.core.windowSize, 4294967295u);
+    params.setKeyValue("maxInsts=18446744073709551615");
+    EXPECT_EQ(params.maxInsts, 18446744073709551615u);
+}
+
+SimParams
+replayThroughSet(const SimParams &params)
+{
+    SimParams replayed;
+    params.forEachParam(
+        [&](const std::string &name, const std::string &value) {
+            replayed.set(name, value);
+        });
+    return replayed;
+}
+
+// Every name a results file prints is settable, so a cell's "params"
+// re-create its configuration exactly.
+TEST(Params, ForEachParamRoundTripsThroughSet)
+{
+    const SimParams defaults;
+    EXPECT_EQ(replayThroughSet(defaults).canonicalKey(),
+              defaults.canonicalKey());
+
+    SimParams params;
+    params.core.setWidth(4);
+    params.core.windowSize = 48; // not the 64 that width 4 pairs with
+    params.core.setFrontendDepth(11);
+    params.core.decodeDepth = 2;
+    params.mem.l2Latency = 12;
+    params.bpred.historyBits = 12;
+    params.verify.badPteProb = 0.1;
+    params.obs.trace = "exc,retire";
+    params.except.mech = ExceptMech::QuickStart;
+    ASSERT_NE(params.canonicalKey(), defaults.canonicalKey());
+    EXPECT_EQ(replayThroughSet(params).canonicalKey(),
+              params.canonicalKey());
+}
+
 TEST(Params, FrontendDepthDecomposition)
 {
     SimParams params;

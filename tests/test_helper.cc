@@ -253,8 +253,9 @@ TEST(HelperLifecycleStress, AuditsCleanAcrossSeedsUnderInjection)
         totalFallbacks += uint64_t(stat(sim, "mtFallbacks"));
         // Whatever happened, the borrow must be consistent at the end.
         ThreadID svc = sim.core().helperMgr().serviceContext();
-        if (params.helper.anyEnabled())
+        if (params.helper.anyEnabled()) {
             EXPECT_NE(svc, InvalidThreadID) << "seed " << seed;
+        }
     }
     // The campaign as a whole must have exercised the contended paths.
     EXPECT_GT(totalPreempts, 0u) << "no spawn ever preempted a borrow";

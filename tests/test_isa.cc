@@ -45,17 +45,20 @@ TEST_P(OpcodeInfoTest, HasMnemonic)
 TEST_P(OpcodeInfoTest, MemOpsAreImmFormat)
 {
     const OpInfo &info = opInfo(GetParam());
-    if (info.isLoad || info.isStore)
+    if (info.isLoad || info.isStore) {
         EXPECT_TRUE(info.isImmFormat);
+    }
 }
 
 TEST_P(OpcodeInfoTest, LoadsWriteARegister)
 {
     const OpInfo &info = opInfo(GetParam());
-    if (info.isLoad)
+    if (info.isLoad) {
         EXPECT_TRUE(info.writesReg);
-    if (info.isStore)
+    }
+    if (info.isStore) {
         EXPECT_FALSE(info.writesReg);
+    }
 }
 
 TEST_P(OpcodeInfoTest, ConditionalImpliesBranch)

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "kernel/funcmachine.hh"
 #include "wload/workload.hh"
@@ -165,6 +167,45 @@ TEST(Workload, PresetCharactersMatchThePaper)
                   benchmarkParams("compress").innerIters)
             << name;
     }
+}
+
+TEST(Workload, CanonicalKeyRoundTrips)
+{
+    std::vector<std::string> names = benchmarkNames();
+    names.push_back("racetest");
+    for (const auto &name : names) {
+        const std::string key = canonicalKey(benchmarkParams(name));
+        WorkloadParams parsed;
+        std::string why;
+        ASSERT_TRUE(parseWorkloadKey(key, &parsed, &why))
+            << name << ": " << why;
+        EXPECT_EQ(canonicalKey(parsed), key) << name;
+    }
+
+    const std::string key = canonicalKey(benchmarkParams("compress"));
+    auto edited = [&](const std::string &from, const std::string &to) {
+        std::string text = key;
+        size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? text
+                                       : text.replace(at, from.size(), to);
+    };
+    auto rejects = [](const std::string &text, const std::string &reason) {
+        WorkloadParams parsed;
+        std::string why;
+        EXPECT_FALSE(parseWorkloadKey(text, &parsed, &why)) << text;
+        EXPECT_NE(why.find(reason), std::string::npos) << why;
+    };
+    rejects(edited("fsqrtOps=0;", ""), "expected workload field 'fsqrtOps'");
+    rejects(edited("fsqrtOps=0;", "fsqrtOps=0;bogus=1;"),
+            "expected workload field 'serialMuls'");
+    rejects(key + "bogus=1;", "unknown workload field 'bogus=1;'");
+    rejects(key.substr(0, key.size() - 1), "not ';'-terminated");
+    rejects(edited("innerIters=8;", "innerIters=4294967296;"), "malformed");
+    rejects(edited("innerIters=8;", "innerIters=-8;"), "malformed");
+    rejects(edited("seed=", "seed=-"), "malformed");
+    rejects(edited("seed=", "seed=18446744073709551616"), "malformed");
+    rejects(edited("useFpDiv=0;", "useFpDiv=2;"), "malformed");
 }
 
 TEST(Workload, ValidationRejectsBadParams)

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "kernel/ffwd.hh"
 #include "kernel/funcmachine.hh"
@@ -76,14 +77,9 @@ std::string
 resultsJson(const std::string &bench, uint64_t insts, unsigned repeat,
             bool idle_skip, const std::vector<SpeedResult> &results)
 {
-    char buf[64];
     std::string os;
-    auto num = [&](double v) {
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        os += buf;
-    };
     os += "{\"schema\":\"zmt-simspeed-v1\",\"name\":\"bench_simspeed\"";
-    os += ",\"benchmark\":\"" + bench + "\"";
+    os += ",\"benchmark\":\"" + jsonEscape(bench) + "\"";
     os += ",\"insts\":" + std::to_string(insts);
     os += ",\"repeat\":" + std::to_string(repeat);
     os += ",\"idle_skip\":";
@@ -93,18 +89,15 @@ resultsJson(const std::string &bench, uint64_t insts, unsigned repeat,
         const SpeedResult &r = results[i];
         if (i)
             os += ",";
-        os += "{\"label\":\"" + r.label + "\"";
+        os += "{\"label\":\"" + jsonEscape(r.label) + "\"";
         os += ",\"mech\":\"";
         os += r.mech;
         os += "\",\"idle_threads\":" + std::to_string(r.idleThreads);
-        os += ",\"kips\":";
-        num(r.kips);
-        os += ",\"wall_seconds\":";
-        num(r.wallSeconds);
+        os += ",\"kips\":" + jsonNumber(r.kips);
+        os += ",\"wall_seconds\":" + jsonNumber(r.wallSeconds);
         os += ",\"cycles\":" + std::to_string(r.cycles);
         os += ",\"user_insts\":" + std::to_string(r.userInsts);
-        os += ",\"ipc\":";
-        num(r.ipc);
+        os += ",\"ipc\":" + jsonNumber(r.ipc);
         os += "}";
     }
     os += "]}\n";

@@ -487,7 +487,7 @@ main(int argc, char **argv)
         os << "{\"schema\":\"zmt-torture-results-v1\",\"runs\":"
            << executed << ",\"seed\":" << sweep_seed
            << ",\"jobs\":" << runner.threads()
-           << ",\"wall_seconds\":" << wall
+           << ",\"wall_seconds\":" << jsonNumber(wall)
            << ",\"failure_count\":" << failures << ",\"failures\":[";
         bool first_failure = true;
         for (size_t k = 0; k < outcomes.size(); ++k) {
