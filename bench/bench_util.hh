@@ -103,10 +103,10 @@ benchParseArgs(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (const char *v = take_value(i, "--insts", "--insts=")) {
-            config.insts = std::strtoull(v, nullptr, 0);
+            config.insts = parseUnsigned("--insts", v);
         } else if (const char *w =
                        take_value(i, "--warmup", "--warmup=")) {
-            config.warmup = std::strtoull(w, nullptr, 0);
+            config.warmup = parseUnsigned("--warmup", w);
         } else if (const char *j = take_value(i, "--json", "--json=")) {
             config.jsonPath = j;
         } else if (std::strcmp(argv[i], "--no-json") == 0) {

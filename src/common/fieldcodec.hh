@@ -1,18 +1,15 @@
 /**
  * @file
- * Token-oriented field encoding shared by the line-based persistent
- * formats (the zmt-journal-v1 campaign journal and the
- * zmt-checkpoint-v1 simulator checkpoint). A record is a single line
- * of whitespace-separated "key=value" tokens; values are
- * percent-encoded so arbitrary strings stay one token, and doubles
- * round-trip bit-exactly via hexfloat.
+ * Token-oriented field encoding of the zmt-checkpoint-v1 simulator
+ * checkpoint (sim/checkpoint.cc), its only user. A record is a single
+ * line of whitespace-separated "key=value" tokens; values are
+ * percent-encoded so arbitrary strings stay one token.
  */
 
 #ifndef ZMT_COMMON_FIELDCODEC_HH
 #define ZMT_COMMON_FIELDCODEC_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -76,15 +73,6 @@ decodeField(const std::string &s, std::string *out)
     return true;
 }
 
-/** Bit-exact double round trip (hexfloat both ways). */
-inline std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
 using TokenMap = std::map<std::string, std::string>;
 
 inline bool
@@ -114,31 +102,6 @@ getU64(const TokenMap &kv, const std::string &key, uint64_t *out)
         return false;
     char *end = nullptr;
     *out = std::strtoull(it->second.c_str(), &end, 10);
-    return end != it->second.c_str() && *end == '\0';
-}
-
-inline bool
-getInt(const TokenMap &kv, const std::string &key, int *out)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return false;
-    char *end = nullptr;
-    long v = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        return false;
-    *out = int(v);
-    return true;
-}
-
-inline bool
-getDouble(const TokenMap &kv, const std::string &key, double *out)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return false;
-    char *end = nullptr;
-    *out = std::strtod(it->second.c_str(), &end);
     return end != it->second.c_str() && *end == '\0';
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Minimal JSON emission helpers shared by every machine-readable
- * output path (sweep results, stats dumps, Chrome trace export).
- * Emission only — parsing stays in the tests, which validate the
- * emitted documents with an independent mini-parser.
+ * output path (sweep results, campaign records, Chrome trace export).
+ * Reading goes through jsonspan (common/jsonparse.hh); the record
+ * reader in sim/jsonfields.hh takes back every value these print,
+ * jsonNumber's null as NaN.
  */
 
 #ifndef ZMT_COMMON_JSON_HH

@@ -21,8 +21,20 @@ skipWs(const std::string &s, size_t i)
     return i;
 }
 
-/** Scan one complete value starting at @p i; npos on malformed. */
-size_t skipValue(const std::string &s, size_t i);
+/**
+ * Deepest container nesting accepted. The scan recurses once per level,
+ * so without a bound a long run of '[' overflows the stack; our
+ * documents nest five levels deep.
+ */
+constexpr unsigned MaxDepth = 64;
+
+/**
+ * Scan one complete value starting at @p i, @p depth containers deep;
+ * npos on malformed input. Nesting past MaxDepth is malformed too, and
+ * also sets *@p tooDeep when given.
+ */
+size_t skipValue(const std::string &s, size_t i, unsigned depth = 0,
+                 bool *tooDeep = nullptr);
 
 size_t
 skipString(const std::string &s, size_t i)
@@ -39,8 +51,14 @@ skipString(const std::string &s, size_t i)
 }
 
 size_t
-skipContainer(const std::string &s, size_t i, char close, bool object)
+skipContainer(const std::string &s, size_t i, char close, bool object,
+              unsigned depth, bool *tooDeep)
 {
+    if (depth >= MaxDepth) {
+        if (tooDeep)
+            *tooDeep = true;
+        return std::string::npos;
+    }
     i = skipWs(s, i + 1); // past the opener
     if (i < s.size() && s[i] == close)
         return i + 1;
@@ -54,7 +72,7 @@ skipContainer(const std::string &s, size_t i, char close, bool object)
                 return std::string::npos;
             ++i;
         }
-        i = skipValue(s, skipWs(s, i));
+        i = skipValue(s, skipWs(s, i), depth + 1, tooDeep);
         if (i == std::string::npos)
             return i;
         i = skipWs(s, i);
@@ -70,15 +88,15 @@ skipContainer(const std::string &s, size_t i, char close, bool object)
 }
 
 size_t
-skipValue(const std::string &s, size_t i)
+skipValue(const std::string &s, size_t i, unsigned depth, bool *tooDeep)
 {
     i = skipWs(s, i);
     if (i >= s.size())
         return std::string::npos;
     switch (s[i]) {
       case '"': return skipString(s, i);
-      case '{': return skipContainer(s, i, '}', true);
-      case '[': return skipContainer(s, i, ']', false);
+      case '{': return skipContainer(s, i, '}', true, depth, tooDeep);
+      case '[': return skipContainer(s, i, ']', false, depth, tooDeep);
       default: break;
     }
     static const char *literals[] = {"true", "false", "null"};
@@ -99,10 +117,13 @@ bool
 validate(const std::string &doc, Span *out, std::string *error)
 {
     size_t begin = skipWs(doc, 0);
-    size_t end = skipValue(doc, begin);
+    bool tooDeep = false;
+    size_t end = skipValue(doc, begin, 0, &tooDeep);
     if (end == std::string::npos || skipWs(doc, end) != doc.size()) {
         if (error) {
-            *error = end == std::string::npos
+            *error = tooDeep ? "JSON nested deeper than " +
+                                   std::to_string(MaxDepth) + " levels"
+                     : end == std::string::npos
                          ? "malformed JSON value"
                          : "trailing garbage after JSON value";
         }
@@ -225,6 +246,25 @@ decodeNumber(const std::string &doc, Span value, double *out)
     double v = std::strtod(buf, &end);
     if (end != buf + value.size())
         return false;
+    if (out)
+        *out = v;
+    return true;
+}
+
+bool
+decodeUnsigned(const std::string &doc, Span value, uint64_t *out)
+{
+    // Digits only: no sign, fraction or exponent, so a counter never
+    // takes a detour through double.
+    if (value.size() == 0)
+        return false;
+    uint64_t v = 0;
+    for (size_t i = value.begin; i < value.end; ++i) {
+        unsigned digit = unsigned(doc[i] - '0');
+        if (digit > 9 || v > (UINT64_MAX - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
     if (out)
         *out = v;
     return true;

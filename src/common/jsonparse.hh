@@ -10,13 +10,16 @@
  *
  * This is a validator + locator, not a general-purpose parser: it
  * accepts exactly the JSON subset our emitters produce (and rejects
- * malformed documents), which is all the merge path needs.
+ * malformed documents, including ones nested deeper than 64 levels),
+ * which is all the merge path and the record reader
+ * (sim/jsonfields.hh) need.
  */
 
 #ifndef ZMT_COMMON_JSONPARSE_HH
 #define ZMT_COMMON_JSONPARSE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -65,6 +68,10 @@ bool decodeString(const std::string &doc, Span value, std::string *out);
 
 /** Parse a number value span into @p out. */
 bool decodeNumber(const std::string &doc, Span value, double *out);
+
+/** Parse a number span of decimal digits only, exactly, into @p out;
+ *  false on a sign, fraction, exponent or overflow. */
+bool decodeUnsigned(const std::string &doc, Span value, uint64_t *out);
 
 /** True if the value span is the literal null. */
 bool isNull(const std::string &doc, Span value);

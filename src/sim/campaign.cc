@@ -3,29 +3,23 @@
 #include <atomic>
 #include <chrono>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <fcntl.h>
 #include <map>
+#include <poll.h>
 #include <sstream>
 #include <sys/stat.h>
-#include <thread>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <poll.h>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
-#endif
 
-#include "common/fieldcodec.hh"
 #include "common/hash.hh"
-#include "common/json.hh"
-#include "common/jsonparse.hh"
 #include "common/logging.hh"
+#include "sim/jsonfields.hh"
 
 namespace zmt
 {
@@ -44,16 +38,6 @@ parsePositiveDouble(const char *flag, const char *value)
     double v = std::strtod(value, &end);
     fatal_if(end == value || *end != '\0' || !(v >= 0.0),
              "bad %s value '%s'", flag, value);
-    return v;
-}
-
-unsigned long
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    unsigned long v = std::strtoul(value, &end, 10);
-    fatal_if(end == value || *end != '\0', "bad %s value '%s'", flag,
-             value);
     return v;
 }
 
@@ -136,126 +120,20 @@ sweepJobKey(const SweepJob &job)
     return hex64(fnv1a64(os.str()));
 }
 
-namespace
-{
-
-using namespace fieldcodec;
-
+/** JobFailure's field list: the results cell's "failure" object and a
+ *  failed journal record. In namespace zmt, not the anonymous one, so
+ *  that argument-dependent lookup finds it. */
+template <RecordOf<JobFailure> R, typename V>
 void
-serializeCoreResult(std::ostringstream &os, const char *prefix,
-                    const CoreResult &r)
+visitFields(R &f, V &&v)
 {
-    os << prefix << ".status=" << runStatusName(r.status) << ' '
-       << prefix << ".error=" << encodeField(r.error) << ' '
-       << prefix << ".cycles=" << uint64_t(r.cycles) << ' '
-       << prefix << ".insts=" << r.userInsts << ' '
-       << prefix << ".misses=" << r.tlbMisses << ' '
-       << prefix << ".emul=" << r.emulations << ' '
-       << prefix << ".ipc=" << fmtDouble(r.ipc) << ' '
-       << prefix << ".mcycles=" << uint64_t(r.measuredCycles) << ' '
-       << prefix << ".minsts=" << r.measuredInsts << ' '
-       << prefix << ".mmisses=" << r.measuredMisses << ' '
-       << prefix << ".warm=" << (r.warmedUp ? 1 : 0) << ' '
-       << prefix << ".samples=" << r.sampling.samples << ' '
-       << prefix << ".sffwd=" << r.sampling.ffwdInsts << ' '
-       << prefix << ".scold=" << r.sampling.coldSamples << ' '
-       << prefix << ".sipc=" << fmtDouble(r.sampling.ipcMean) << ' '
-       << prefix << ".sipcci=" << fmtDouble(r.sampling.ipcCi95) << ' '
-       << prefix << ".smpk=" << fmtDouble(r.sampling.mpkMean) << ' '
-       << prefix << ".smpkci=" << fmtDouble(r.sampling.mpkCi95) << ' '
-       << prefix << ".attrib=" << r.attrib.completed << ','
-       << r.attrib.aborted << ',' << r.attrib.spanCycles;
-    for (uint64_t c : r.attrib.cycles)
-        os << ',' << c;
-}
-
-bool
-parseCoreResult(const TokenMap &kv, const std::string &prefix,
-                CoreResult *r)
-{
-    std::string statusName;
-    if (!getString(kv, prefix + ".status", &statusName) ||
-        !parseRunStatus(statusName, r->status))
-        return false;
-    uint64_t cycles = 0, mcycles = 0;
-    if (!getString(kv, prefix + ".error", &r->error) ||
-        !getU64(kv, prefix + ".cycles", &cycles) ||
-        !getU64(kv, prefix + ".insts", &r->userInsts) ||
-        !getU64(kv, prefix + ".misses", &r->tlbMisses) ||
-        !getU64(kv, prefix + ".emul", &r->emulations) ||
-        !getDouble(kv, prefix + ".ipc", &r->ipc) ||
-        !getU64(kv, prefix + ".mcycles", &mcycles) ||
-        !getU64(kv, prefix + ".minsts", &r->measuredInsts) ||
-        !getU64(kv, prefix + ".mmisses", &r->measuredMisses))
-        return false;
-    uint64_t warm = 0;
-    if (!getU64(kv, prefix + ".warm", &warm) ||
-        !getU64(kv, prefix + ".samples", &r->sampling.samples) ||
-        !getU64(kv, prefix + ".sffwd", &r->sampling.ffwdInsts) ||
-        !getU64(kv, prefix + ".scold", &r->sampling.coldSamples) ||
-        !getDouble(kv, prefix + ".sipc", &r->sampling.ipcMean) ||
-        !getDouble(kv, prefix + ".sipcci", &r->sampling.ipcCi95) ||
-        !getDouble(kv, prefix + ".smpk", &r->sampling.mpkMean) ||
-        !getDouble(kv, prefix + ".smpkci", &r->sampling.mpkCi95))
-        return false;
-    r->warmedUp = warm != 0;
-    r->cycles = cycles;
-    r->measuredCycles = mcycles;
-
-    auto it = kv.find(prefix + ".attrib");
-    if (it == kv.end())
-        return false;
-    std::vector<uint64_t> values;
-    const std::string &list = it->second;
-    size_t i = 0;
-    while (i <= list.size()) {
-        size_t comma = list.find(',', i);
-        size_t end = comma == std::string::npos ? list.size() : comma;
-        char *stop = nullptr;
-        std::string item = list.substr(i, end - i);
-        values.push_back(std::strtoull(item.c_str(), &stop, 10));
-        if (stop == item.c_str() || *stop != '\0')
-            return false;
-        if (comma == std::string::npos)
-            break;
-        i = comma + 1;
-    }
-    if (values.size() != 3 + obs::NumAttribCats)
-        return false;
-    r->attrib.completed = values[0];
-    r->attrib.aborted = values[1];
-    r->attrib.spanCycles = values[2];
-    for (unsigned c = 0; c < obs::NumAttribCats; ++c)
-        r->attrib.cycles[c] = values[3 + c];
-    return true;
-}
-
-} // anonymous namespace
-
-std::string
-serializeSweepOutcome(const SweepOutcome &outcome)
-{
-    std::ostringstream os;
-    os << "wall=" << fmtDouble(outcome.wallSeconds) << ' ';
-    serializeCoreResult(os, "m", outcome.result.mech);
-    os << ' ';
-    serializeCoreResult(os, "p", outcome.result.perfect);
-    return os.str();
-}
-
-bool
-parseSweepOutcome(const std::string &text, SweepOutcome *outcome)
-{
-    TokenMap kv;
-    if (!splitTokens(text, &kv))
-        return false;
-    SweepOutcome result;
-    if (!getDouble(kv, "wall", &result.wallSeconds) ||
-        !parseCoreResult(kv, "m", &result.result.mech) ||
-        !parseCoreResult(kv, "p", &result.result.perfect))
-        return false;
-    *outcome = std::move(result);
-    return true;
+    v("status", f.status);
+    v("exit_code", f.exitCode);
+    v("signal", f.termSignal);
+    v("attempts", f.attempts);
+    v("quarantined", f.quarantined);
+    v("message", f.message);
+    v("stderr_tail", f.stderrTail);
 }
 
 // ---------------------------------------------------------------------
@@ -284,8 +162,6 @@ tailOf(const std::string &text)
 }
 
 } // anonymous namespace
-
-#ifndef _WIN32
 
 ChildResult
 runInForkedChild(const std::function<std::string()> &fn,
@@ -394,9 +270,6 @@ runInForkedChild(const std::function<std::string()> &fn,
     while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
     }
 
-    res.wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
     res.payload = std::move(payload);
     res.stderrTail = tailOf(childErr);
     if (killed) {
@@ -414,29 +287,38 @@ runInForkedChild(const std::function<std::string()> &fn,
     return res;
 }
 
-#else // _WIN32
-
-ChildResult
-runInForkedChild(const std::function<std::string()> &fn,
-                 double timeoutSeconds)
+JobFailure
+childFailure(const ChildResult &child)
 {
-    // No fork: degrade to in-process execution. A crash takes the
-    // runner with it and the timeout cannot be enforced, but the
-    // journal still makes the campaign resumable after that crash.
-    (void)timeoutSeconds;
-    warn("process isolation unavailable on this platform; "
-         "running in-process");
-    ChildResult res;
-    auto start = std::chrono::steady_clock::now();
-    res.payload = fn();
-    res.wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    res.state = ChildResult::State::Ok;
-    return res;
+    JobFailure failure;
+    failure.status = child.state == ChildResult::State::TimedOut
+                         ? RunStatus::Timeout
+                         : RunStatus::Crashed;
+    failure.exitCode = child.exitCode;
+    failure.termSignal = child.termSignal;
+    failure.stderrTail = child.stderrTail;
+    switch (child.state) {
+      case ChildResult::State::Ok:
+        failure.message = "child result payload unparseable";
+        break;
+      case ChildResult::State::Exited:
+        failure.message = "child exited with status " +
+                          std::to_string(child.exitCode);
+        break;
+      case ChildResult::State::Signaled:
+        failure.message = "child killed by signal " +
+                          std::to_string(child.termSignal);
+        break;
+      case ChildResult::State::TimedOut:
+        failure.message = "child exceeded its wall-clock budget";
+        break;
+      case ChildResult::State::ForkFailed:
+        failure.message =
+            "could not fork an isolated child: " + child.stderrTail;
+        break;
+    }
+    return failure;
 }
-
-#endif // _WIN32
 
 // ---------------------------------------------------------------------
 // Journal
@@ -445,52 +327,48 @@ runInForkedChild(const std::function<std::string()> &fn,
 namespace
 {
 
-const char JournalHeader[] = "zmt-journal-v1";
+const char JournalHeader[] = "zmt-journal-v2";
 
+/** A record's JSON: key, label, and the outcome of a cell with a
+ *  result or the failure of one without. */
 std::string
-serializeJournalRecord(const JournalRecord &rec)
+journalPayload(const JournalRecord &rec)
 {
     std::ostringstream os;
-    os << "key=" << rec.key << " label=" << encodeField(rec.label)
-       << " status=" << runStatusName(rec.status)
-       << " attempts=" << rec.attempts
-       << " quarantined=" << (rec.quarantined ? 1 : 0)
-       << " exit=" << rec.exitCode << " signal=" << rec.termSignal
-       << " message=" << encodeField(rec.message)
-       << " stderr=" << encodeField(rec.stderrTail)
-       << " result=" << encodeField(rec.result);
+    os << '{';
+    JsonFieldWriter member(os);
+    member("key", rec.key);
+    member("label", rec.label);
+    if (rec.outcome.ok()) {
+        os << ",\"outcome\":";
+        writeSweepOutcome(os, rec.outcome.outcome);
+    } else {
+        member("failure", rec.outcome.failure);
+    }
+    os << '}';
     return os.str();
 }
 
 bool
-parseJournalRecord(const std::string &payload, JournalRecord *rec,
-                   std::string *why)
+parseJournalPayload(const std::string &payload, JournalRecord *rec)
 {
-    TokenMap kv;
-    if (!splitTokens(payload, &kv)) {
-        *why = "malformed record";
+    jsonspan::Span root, outcome;
+    if (!jsonspan::validate(payload, &root))
         return false;
-    }
     JournalRecord r;
-    std::string statusName;
-    uint64_t attempts = 0, quarantined = 0;
-    bool ok = getString(kv, "key", &r.key) &&
-              getString(kv, "label", &r.label) &&
-              getString(kv, "status", &statusName) &&
-              parseRunStatus(statusName, r.status) &&
-              getU64(kv, "attempts", &attempts) &&
-              getU64(kv, "quarantined", &quarantined) &&
-              getInt(kv, "exit", &r.exitCode) &&
-              getInt(kv, "signal", &r.termSignal) &&
-              getString(kv, "message", &r.message) &&
-              getString(kv, "stderr", &r.stderrTail) &&
-              getString(kv, "result", &r.result);
-    if (!ok) {
-        *why = "missing or malformed record field";
-        return false;
+    JsonFieldReader member(payload, root);
+    member("key", r.key);
+    member("label", r.label);
+    if (jsonspan::objectField(payload, root, "outcome", &outcome)) {
+        r.outcome.state = CellState::Done;
+        if (!parseSweepOutcome(outcome.text(payload), &r.outcome.outcome))
+            return false;
+    } else {
+        r.outcome.state = CellState::Failed;
+        member("failure", r.outcome.failure);
     }
-    r.attempts = unsigned(attempts);
-    r.quarantined = quarantined != 0;
+    if (!member.ok())
+        return false;
     *rec = std::move(r);
     return true;
 }
@@ -508,7 +386,11 @@ parseJournalLine(const std::string &line, JournalRecord *rec,
         *why = "record checksum mismatch";
         return false;
     }
-    return parseJournalRecord(payload, rec, why);
+    if (!parseJournalPayload(payload, rec)) {
+        *why = "record does not decode";
+        return false;
+    }
+    return true;
 }
 
 } // anonymous namespace
@@ -518,7 +400,6 @@ CampaignJournal::~CampaignJournal() { close(); }
 bool
 CampaignJournal::open(const std::string &path)
 {
-#ifndef _WIN32
     close();
     fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
                 0644);
@@ -535,19 +416,14 @@ CampaignJournal::open(const std::string &path)
         ::fsync(fd);
     }
     return true;
-#else
-    (void)path;
-    return false;
-#endif
 }
 
 void
 CampaignJournal::append(const JournalRecord &record)
 {
-#ifndef _WIN32
     if (fd < 0)
         return;
-    std::string payload = serializeJournalRecord(record);
+    std::string payload = journalPayload(record);
     std::string line = hex64(fnv1a64(payload)) + " " + payload + "\n";
     std::lock_guard<std::mutex> lock(mutex);
     // One write() + fsync per record: O_APPEND makes the write atomic
@@ -560,20 +436,15 @@ CampaignJournal::append(const JournalRecord &record)
         return;
     }
     ::fsync(fd);
-#else
-    (void)record;
-#endif
 }
 
 void
 CampaignJournal::close()
 {
-#ifndef _WIN32
     if (fd >= 0) {
         ::close(fd);
         fd = -1;
     }
-#endif
 }
 
 bool
@@ -691,30 +562,6 @@ sameFailureSignature(const JobFailure &a, const JobFailure &b)
            a.termSignal == b.termSignal;
 }
 
-JournalRecord
-makeJournalRecord(const std::string &key, const SweepJob &job,
-                  const CampaignOutcome &outcome)
-{
-    JournalRecord rec;
-    rec.key = key;
-    rec.label = job.label;
-    if (outcome.ok()) {
-        rec.status = RunStatus::Ok;
-        rec.attempts =
-            outcome.failure.attempts ? outcome.failure.attempts : 1;
-        rec.result = serializeSweepOutcome(outcome.outcome);
-    } else {
-        rec.status = outcome.failure.status;
-        rec.attempts = outcome.failure.attempts;
-        rec.quarantined = outcome.failure.quarantined;
-        rec.exitCode = outcome.failure.exitCode;
-        rec.termSignal = outcome.failure.termSignal;
-        rec.message = outcome.failure.message;
-        rec.stderrTail = outcome.failure.stderrTail;
-    }
-    return rec;
-}
-
 } // anonymous namespace
 
 CampaignRunner::CampaignRunner(CampaignOptions opts, unsigned jobs)
@@ -743,45 +590,17 @@ CampaignRunner::attemptJob(const SweepJob &job)
 
     ChildResult child = runInForkedChild(
         [&job] {
-            return "OK " + serializeSweepOutcome(measureJob(job));
+            std::ostringstream os;
+            writeSweepOutcome(os, measureJob(job));
+            return os.str();
         },
         options.timeoutSeconds);
-
-    out.state = CellState::Failed;
-    out.failure.exitCode = child.exitCode;
-    out.failure.termSignal = child.termSignal;
-    out.failure.stderrTail = child.stderrTail;
-    switch (child.state) {
-      case ChildResult::State::Ok:
-        if (child.payload.compare(0, 3, "OK ") == 0 &&
-            parseSweepOutcome(child.payload.substr(3), &out.outcome)) {
-            out.state = CellState::Done;
-            out.failure = JobFailure{};
-        } else {
-            out.failure.status = RunStatus::Crashed;
-            out.failure.message = "child result payload unparseable";
-        }
-        break;
-      case ChildResult::State::Exited:
-        out.failure.status = RunStatus::Crashed;
-        out.failure.message = "child exited with status " +
-                              std::to_string(child.exitCode);
-        break;
-      case ChildResult::State::Signaled:
-        out.failure.status = RunStatus::Crashed;
-        out.failure.message = "child killed by signal " +
-                              std::to_string(child.termSignal);
-        break;
-      case ChildResult::State::TimedOut:
-        out.failure.status = RunStatus::Timeout;
-        out.failure.message =
-            "child exceeded its wall-clock budget";
-        break;
-      case ChildResult::State::ForkFailed:
-        out.failure.status = RunStatus::Crashed;
-        out.failure.message = "could not fork an isolated child: " +
-                              child.stderrTail;
-        break;
+    if (child.state == ChildResult::State::Ok &&
+        parseSweepOutcome(child.payload, &out.outcome)) {
+        out.state = CellState::Done;
+    } else {
+        out.state = CellState::Failed;
+        out.failure = childFailure(child);
     }
     return out;
 }
@@ -860,7 +679,6 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
     gStopRequested.store(0);
     wasInterrupted = false;
 
-#ifndef _WIN32
     struct sigaction action {};
     struct sigaction oldInt {};
     struct sigaction oldTerm {};
@@ -868,7 +686,6 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
     sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, &oldInt);
     ::sigaction(SIGTERM, &action, &oldTerm);
-#endif
 
     std::mutex progressMutex;
     runner.parallelFor(jobs.size(), [&](size_t i) {
@@ -882,42 +699,31 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
         const std::string key = sweepJobKey(job);
 
         auto hit = resumeMap.find(key);
-        if (hit != resumeMap.end() &&
-            hit->second->status == RunStatus::Ok) {
-            SweepOutcome fromJournal;
-            if (parseSweepOutcome(hit->second->result, &fromJournal)) {
-                outcomes[i].state = CellState::FromJournal;
-                outcomes[i].outcome = std::move(fromJournal);
-                outcomes[i].failure.attempts = hit->second->attempts;
-                if (rejournalResumed)
-                    journal.append(
-                        makeJournalRecord(key, job, outcomes[i]));
-                if (progress) {
-                    std::lock_guard<std::mutex> lock(progressMutex);
-                    progress(i, outcomes[i]);
-                }
-                return;
+        if (hit != resumeMap.end() && hit->second->outcome.ok()) {
+            outcomes[i] = hit->second->outcome;
+            outcomes[i].state = CellState::FromJournal;
+            if (rejournalResumed)
+                journal.append({key, job.label, outcomes[i]});
+            if (progress) {
+                std::lock_guard<std::mutex> lock(progressMutex);
+                progress(i, outcomes[i]);
             }
-            warn("resume journal: unparseable result for '%s'; "
-                 "re-running",
-                 job.label.c_str());
+            return;
         }
 
         outcomes[i] = runOneJob(job);
         if (outcomes[i].state == CellState::Pending)
             return; // interrupted before any attempt finished
         if (journal.isOpen())
-            journal.append(makeJournalRecord(key, job, outcomes[i]));
+            journal.append({key, job.label, outcomes[i]});
         if (progress) {
             std::lock_guard<std::mutex> lock(progressMutex);
             progress(i, outcomes[i]);
         }
     });
 
-#ifndef _WIN32
     ::sigaction(SIGINT, &oldInt, nullptr);
     ::sigaction(SIGTERM, &oldTerm, nullptr);
-#endif
 
     wasInterrupted = stopRequested();
     return outcomes;
@@ -931,13 +737,7 @@ std::string
 jobFailureJson(const JobFailure &failure)
 {
     std::ostringstream os;
-    os << "{\"status\":\"" << jsonEscape(runStatusName(failure.status))
-       << "\",\"exit_code\":" << failure.exitCode
-       << ",\"signal\":" << failure.termSignal
-       << ",\"attempts\":" << failure.attempts << ",\"quarantined\":"
-       << (failure.quarantined ? "true" : "false") << ",\"message\":\""
-       << jsonEscape(failure.message) << "\",\"stderr_tail\":\""
-       << jsonEscape(failure.stderrTail) << "\"}";
+    writeJsonObject(os, failure);
     return os.str();
 }
 
@@ -1088,15 +888,12 @@ mergeSweepResults(const std::vector<std::string> &documents,
             return fail(where("missing cells array"));
 
         for (const Span &cell : elements) {
-            double indexValue = 0.0;
+            uint64_t index = 0;
             if (!jsonspan::objectField(doc, cell, "index", &span) ||
-                !jsonspan::decodeNumber(doc, span, &indexValue) ||
-                indexValue < 0 ||
-                indexValue != std::floor(indexValue))
+                !jsonspan::decodeUnsigned(doc, span, &index))
                 return fail(where(
                     "cell without a valid \"index\" (output of an "
                     "older sweep binary?)"));
-            size_t index = size_t(indexValue);
 
             if (!jsonspan::objectField(doc, cell, "failure", &span))
                 return fail(where("cell " + std::to_string(index) +

@@ -13,13 +13,12 @@
  *  - process isolation: each job runs in a forked child with captured
  *    stderr, exit status and wall-clock, so panic(), sanitizer aborts
  *    and OOM kills become a typed JobFailure record instead of taking
- *    down the runner (platforms without fork degrade to in-process
- *    execution with a warning);
+ *    down the runner;
  *  - retry / timeout / backoff: a per-job wall-clock timeout (child is
  *    SIGKILLed), bounded retries with exponential backoff, and early
  *    quarantine when two consecutive attempts fail identically (a
  *    deterministic failure — retrying is pointless);
- *  - crash-resumable journal: an append-only fsync'd zmt-journal-v1
+ *  - crash-resumable journal: an append-only fsync'd zmt-journal-v2
  *    file keyed on the job's canonical parameter + workload
  *    serialization; a truncated trailing record (the process died
  *    mid-append) is tolerated, mid-file corruption is rejected, and
@@ -29,6 +28,10 @@
  *    shards into output byte-identical to an unsharded run;
  *  - graceful shutdown: SIGINT/SIGTERM stop new jobs, drain in-flight
  *    ones into the journal, and leave a resumable state.
+ *
+ * Every record crossing this layer, a child's result or a journal
+ * line, is the results-JSON object of its type, written and read from
+ * one field list (sim/jsonfields.hh).
  */
 
 #ifndef ZMT_SIM_CAMPAIGN_HH
@@ -111,7 +114,7 @@ struct CampaignOutcome
 };
 
 // ---------------------------------------------------------------------
-// Job identity and result serialization
+// Job identity
 // ---------------------------------------------------------------------
 
 /**
@@ -121,14 +124,6 @@ struct CampaignOutcome
  * simulate identically, so a journal hit can stand in for a re-run.
  */
 std::string sweepJobKey(const SweepJob &job);
-
-/**
- * Serialize / parse a SweepOutcome as a single text line. Doubles use
- * hexfloat so the round trip is bit-exact — a resumed campaign's JSON
- * must be byte-identical to an uninterrupted run's.
- */
-std::string serializeSweepOutcome(const SweepOutcome &outcome);
-bool parseSweepOutcome(const std::string &text, SweepOutcome *outcome);
 
 // ---------------------------------------------------------------------
 // Process isolation
@@ -151,7 +146,6 @@ struct ChildResult
     int termSignal = 0;     //!< when Signaled/TimedOut
     std::string payload;    //!< child's result pipe contents
     std::string stderrTail; //!< last bytes of captured stderr
-    double wallSeconds = 0.0;
 };
 
 /**
@@ -165,13 +159,20 @@ struct ChildResult
  * parent's worker threads do no simulation work of their own in
  * isolate mode (glibc makes malloc/stdio consistent in the child; the
  * child only takes locks no parent thread holds during sweeps).
- * Platforms without fork degrade to running @p fn in-process.
  */
 ChildResult runInForkedChild(const std::function<std::string()> &fn,
                              double timeoutSeconds);
 
+/**
+ * The failure of a child that returned no readable result: Timeout
+ * when it was killed for its budget, Crashed otherwise, with its exit
+ * code, signal, stderr tail and a one-line message (attempts and
+ * quarantine are the retry loop's to fill in).
+ */
+JobFailure childFailure(const ChildResult &child);
+
 // ---------------------------------------------------------------------
-// Crash-resumable journal (schema zmt-journal-v1)
+// Crash-resumable journal (schema zmt-journal-v2)
 // ---------------------------------------------------------------------
 
 /**
@@ -181,23 +182,19 @@ ChildResult runInForkedChild(const std::function<std::string()> &fn,
  */
 struct JournalRecord
 {
-    std::string key;   //!< sweepJobKey of the cell
+    std::string key; //!< sweepJobKey of the cell
     std::string label;
-    RunStatus status = RunStatus::Ok;
-    unsigned attempts = 1;
-    bool quarantined = false;
-    int exitCode = 0;
-    int termSignal = 0;
-    std::string message;
-    std::string stderrTail;
-    std::string result; //!< serializeSweepOutcome when status == ok
+    CampaignOutcome outcome; //!< loaded as Done or Failed
 };
 
 /**
- * Append-only journal writer. Every record is one checksummed line,
- * written with a single write() and fsync'd, so the strongest possible
- * failure is one truncated trailing record — which the loader
- * tolerates by design.
+ * Append-only journal writer. After the zmt-journal-v2 header line,
+ * every record is one line "<16-hex fnv1a64 of the JSON> <JSON>", the
+ * JSON an object {"key","label","outcome"} for an ok cell (outcome as
+ * writeSweepOutcome prints it) or {"key","label","failure"} for a
+ * failed one. Each line is written with a single write() and fsync'd,
+ * so the strongest possible failure is one truncated trailing record —
+ * which the loader tolerates by design.
  */
 class CampaignJournal
 {
@@ -224,12 +221,13 @@ class CampaignJournal
 };
 
 /**
- * Load a journal. A malformed or checksum-failing FINAL line is
- * tolerated (the writer died mid-append) and reported via
+ * Load a journal. A malformed, checksum-failing or undecodable FINAL
+ * line is tolerated (the writer died mid-append) and reported via
  * @p truncatedTrailing; a bad record anywhere else is corruption and
- * fails the load with a line-numbered error. Records are returned in
- * file order; on duplicate keys the last record wins (a resumed run
- * re-ran a previously failed cell).
+ * fails the load with a line-numbered error, as does any header but
+ * zmt-journal-v2. Records are returned in file order; on duplicate
+ * keys the last record wins (a resumed run re-ran a previously failed
+ * cell).
  */
 bool loadJournal(const std::string &path,
                  std::vector<JournalRecord> *records, std::string *error,

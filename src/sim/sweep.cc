@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <thread>
 
-#include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/jsonfields.hh"
 
 namespace zmt
 {
@@ -63,63 +65,106 @@ parseJobsFlag(int &argc, char **argv, unsigned fallback)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            value = arg + 7;
-        } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            value = argv[++i];
-        } else {
+        if (std::strncmp(arg, "--jobs=", 7) == 0)
+            jobs = unsigned(parseUnsigned("--jobs", arg + 7));
+        else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc)
+            jobs = unsigned(parseUnsigned("--jobs", argv[++i]));
+        else
             argv[out++] = argv[i];
-            continue;
-        }
-        char *end = nullptr;
-        unsigned long v = std::strtoul(value, &end, 10);
-        fatal_if(end == value || *end != '\0',
-                 "bad --jobs value '%s'", value);
-        jobs = unsigned(v);
     }
     argv[out] = nullptr;
     argc = out;
     return jobs;
 }
 
-namespace
+uint64_t
+parseUnsigned(const char *flag, const char *value)
 {
-
-void
-emitCoreResult(std::ostream &os, const CoreResult &r)
-{
-    os << "{\"status\":\"" << jsonEscape(runStatusName(r.status))
-       << "\",\"cycles\":" << r.cycles
-       << ",\"user_insts\":" << r.userInsts
-       << ",\"tlb_misses\":" << r.tlbMisses
-       << ",\"emulations\":" << r.emulations
-       << ",\"measured_cycles\":" << r.measuredCycles
-       << ",\"measured_insts\":" << r.measuredInsts
-       << ",\"measured_misses\":" << r.measuredMisses
-       << ",\"ipc\":" << jsonNumber(r.ipc)
-       << ",\"warmed_up\":" << (r.warmedUp ? "true" : "false")
-       << ",\"sampling\":{\"samples\":" << r.sampling.samples
-       << ",\"ffwd_insts\":" << r.sampling.ffwdInsts
-       << ",\"cold_samples\":" << r.sampling.coldSamples
-       << ",\"ipc_mean\":" << jsonNumber(r.sampling.ipcMean)
-       << ",\"ipc_ci95\":" << jsonNumber(r.sampling.ipcCi95)
-       << ",\"mpk_mean\":" << jsonNumber(r.sampling.mpkMean)
-       << ",\"mpk_ci95\":" << jsonNumber(r.sampling.mpkCi95) << "}";
-    // Per-exception penalty attribution (all zero unless the run had
-    // obs.attrib / an export enabled — the counters live in the
-    // ExcTimeline sink).
-    os << ",\"attrib\":{\"completed\":" << r.attrib.completed
-       << ",\"aborted\":" << r.attrib.aborted
-       << ",\"span_cycles\":" << r.attrib.spanCycles;
-    for (unsigned c = 0; c < obs::NumAttribCats; ++c) {
-        os << ",\"" << obs::attribCatName(obs::AttribCat(c))
-           << "_cycles\":" << r.attrib.cycles[c];
-    }
-    os << "}}";
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(value, &end, 10);
+    fatal_if(!std::isdigit(static_cast<unsigned char>(value[0])) ||
+                 *end != '\0' || errno == ERANGE,
+             "bad %s value '%s'", flag, value);
+    return v;
 }
 
-} // anonymous namespace
+// The field lists of a results cell's "mech"/"perfect" objects. They
+// live in namespace zmt (zmt::obs for AttribSummary), not the
+// anonymous one, so that argument-dependent lookup finds them.
+
+template <RecordOf<CoreResult::SampleStats> R, typename V>
+void
+visitFields(R &s, V &&v)
+{
+    v("samples", s.samples);
+    v("ffwd_insts", s.ffwdInsts);
+    v("cold_samples", s.coldSamples);
+    v("ipc_mean", s.ipcMean);
+    v("ipc_ci95", s.ipcCi95);
+    v("mpk_mean", s.mpkMean);
+    v("mpk_ci95", s.mpkCi95);
+}
+
+namespace obs
+{
+
+/** Per-exception penalty attribution (all zero unless the run had
+ *  obs.attrib or an export enabled). */
+template <RecordOf<AttribSummary> R, typename V>
+void
+visitFields(R &a, V &&v)
+{
+    v("completed", a.completed);
+    v("aborted", a.aborted);
+    v("span_cycles", a.spanCycles);
+    for (unsigned c = 0; c < NumAttribCats; ++c)
+        v(std::string(attribCatName(AttribCat(c))) + "_cycles",
+          a.cycles[c]);
+}
+
+} // namespace obs
+
+/** CoreResult's members, less the error text: a persisted run always
+ *  ended Ok, since runSimulation is fatal otherwise. */
+template <RecordOf<CoreResult> R, typename V>
+void
+visitFields(R &r, V &&v)
+{
+    v("status", r.status);
+    v("cycles", r.cycles);
+    v("user_insts", r.userInsts);
+    v("tlb_misses", r.tlbMisses);
+    v("emulations", r.emulations);
+    v("measured_cycles", r.measuredCycles);
+    v("measured_insts", r.measuredInsts);
+    v("measured_misses", r.measuredMisses);
+    v("ipc", r.ipc);
+    v("warmed_up", r.warmedUp);
+    v("sampling", r.sampling);
+    v("attrib", r.attrib);
+}
+
+template <RecordOf<SweepOutcome> R, typename V>
+void
+visitFields(R &o, V &&v)
+{
+    v("wall_seconds", o.wallSeconds);
+    v("mech", o.result.mech);
+    v("perfect", o.result.perfect);
+}
+
+void
+writeSweepOutcome(std::ostream &os, const SweepOutcome &outcome)
+{
+    writeJsonObject(os, outcome);
+}
+
+bool
+parseSweepOutcome(const std::string &text, SweepOutcome *outcome)
+{
+    return parseJsonObject(text, outcome);
+}
 
 void
 emitSweepCell(std::ostream &os, size_t index, const SweepJob &job,
@@ -140,12 +185,12 @@ emitSweepCell(std::ostream &os, size_t index, const SweepJob &job,
        << ",\"ipc\":" << jsonNumber(r.mech.ipc)
        << ",\"misses_per_kinst\":" << jsonNumber(r.missesPerKilo())
        << ",\"mech\":";
-    emitCoreResult(os, r.mech);
+    writeJsonObject(os, r.mech);
     os << ",\"perfect\":";
     if (job.skipBaseline || nullPerfect)
         os << "null";
     else
-        emitCoreResult(os, r.perfect);
+        writeJsonObject(os, r.perfect);
     os << ",\"wall_seconds\":" << jsonNumber(outcome.wallSeconds)
        << ",\"failure\":" << failureJson << ",\"params\":{";
     bool first = true;

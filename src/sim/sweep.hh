@@ -63,6 +63,16 @@ struct SweepOutcome
 };
 
 /**
+ * Write / parse a SweepOutcome as the JSON object
+ * {"wall_seconds", "mech", "perfect"}, whose CoreResult members are
+ * exactly a results cell's. An isolated child's result and a journal
+ * record carry it; the round trip is bit-exact, so a resumed
+ * campaign's JSON is byte-identical to an uninterrupted run's.
+ */
+void writeSweepOutcome(std::ostream &os, const SweepOutcome &outcome);
+bool parseSweepOutcome(const std::string &text, SweepOutcome *outcome);
+
+/**
  * A pool of worker threads. Determinism contract for its callers: each
  * job's result depends only on its own (params, workloads), never on
  * scheduling, so any thread count gives the same results.
@@ -96,6 +106,13 @@ class SweepRunner
 unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
 
 /**
+ * The value of numeric flag @p flag: decimal digits only. A sign, a
+ * suffix, an empty value or overflow is fatal, naming the flag, so a
+ * typo never runs as some other number.
+ */
+uint64_t parseUnsigned(const char *flag, const char *value);
+
+/**
  * Emit one result cell, an element of the "cells" array of the
  * zmt-sweep-results-v1 document (see campaignResultsJson):
  *
@@ -105,6 +122,9 @@ unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
  *              measured_cycles,measured_insts,measured_misses,ipc,...},
  *     "perfect": {...} | null, "wall_seconds", "failure",
  *     "params": {dotted-name: value} }
+ *
+ * "mech" and "perfect" print CoreResult's field list, the one
+ * writeSweepOutcome uses.
  *
  * "params" carries the exact configuration via SimParams::forEachParam,
  * so a cell of named benchmarks re-runs bit-identically as

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iomanip>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace zmt::stats
@@ -245,21 +244,6 @@ StatGroup::dumpCsv(std::ostream &os, const std::string &prefix) const
     collect(rows, prefix);
     for (const auto &[name, value] : rows)
         os << name << "," << value << "\n";
-}
-
-void
-StatGroup::dumpJson(std::ostream &os, const std::string &prefix) const
-{
-    std::vector<std::pair<std::string, double>> rows;
-    collect(rows, prefix);
-    os << "{";
-    bool first = true;
-    for (const auto &[name, value] : rows) {
-        os << (first ? "" : ",") << "\n  \"" << jsonEscape(name)
-           << "\": " << jsonNumber(value);
-        first = false;
-    }
-    os << "\n}\n";
 }
 
 void

@@ -209,10 +209,6 @@ class StatGroup
     /** Dump as "name,value" CSV lines. */
     void dumpCsv(std::ostream &os, const std::string &prefix = "") const;
 
-    /** Dump as one flat JSON object {"name": value, ...} — the same
-     *  rows as dumpCsv; non-finite values become null. */
-    void dumpJson(std::ostream &os, const std::string &prefix = "") const;
-
     /** Collect flat (name,value) rows. */
     void collect(std::vector<std::pair<std::string, double>> &rows,
                  const std::string &prefix = "") const;

@@ -1,27 +1,33 @@
 /**
  * @file
  * Fault-tolerant campaign layer tests (sim/campaign.hh): flag parsing,
- * bit-exact outcome serialization, forked-child isolation (ok / abort /
- * nonzero exit / timeout / stderr capture), the crash-resumable journal
- * (truncated trailing record tolerated, mid-file corruption rejected),
- * resume and shard runs whose merged JSON is byte-identical to an
- * uninterrupted campaign, panic containment under --isolate, graceful
- * interruption via requestStop, and the crash flush hooks that dump
- * partial state before abort.
+ * bit-exact outcome and failure serialization, forked-child isolation
+ * (ok / abort / nonzero exit / timeout / stderr capture), the
+ * crash-resumable journal (truncated trailing record tolerated,
+ * mid-file corruption and undecodable records rejected), seeded
+ * mutation of every persisted format the campaign reads, resume and
+ * shard runs whose merged JSON is byte-identical to an uninterrupted
+ * campaign, panic containment under --isolate, graceful interruption
+ * via requestStop, and the crash flush hooks that dump partial state
+ * before abort.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "sim/campaign.hh"
 
 namespace
@@ -70,6 +76,21 @@ readFile(const std::string &path)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &content)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << content;
+}
+
+std::string
+outcomeText(const SweepOutcome &outcome)
+{
+    std::ostringstream os;
+    writeSweepOutcome(os, outcome);
+    return os.str();
 }
 
 /** Canonical merged JSON of one campaign run (normalizes host noise). */
@@ -165,8 +186,8 @@ TEST(CampaignSerialize, OutcomeRoundTripsBitExact)
                                              // round trip must keep the
                                              // stored double exactly
     out.result.mech.status = RunStatus::Livelock;
-    out.result.mech.error = "spaces and %percent\nnewline";
-    out.result.mech.cycles = 123456789;
+    // 2^53 + 1 is the first integer a double cannot hold.
+    out.result.mech.cycles = (uint64_t(1) << 53) + 1;
     out.result.mech.userInsts = 42;
     out.result.mech.tlbMisses = 7;
     out.result.mech.emulations = 3;
@@ -174,6 +195,9 @@ TEST(CampaignSerialize, OutcomeRoundTripsBitExact)
     out.result.mech.measuredCycles = 1000;
     out.result.mech.measuredInsts = 900;
     out.result.mech.measuredMisses = 5;
+    out.result.mech.warmedUp = false;
+    out.result.mech.sampling.samples = 4;
+    out.result.mech.sampling.ipcCi95 = 1e-300;
     out.result.mech.attrib.completed = 11;
     out.result.mech.attrib.aborted = 2;
     out.result.mech.attrib.spanCycles = 333;
@@ -181,21 +205,50 @@ TEST(CampaignSerialize, OutcomeRoundTripsBitExact)
         out.result.mech.attrib.cycles[c] = 100 + c;
     out.result.perfect.ipc = 3.141592653589793;
 
+    const std::string text = outcomeText(out);
     SweepOutcome back;
-    ASSERT_TRUE(parseSweepOutcome(serializeSweepOutcome(out), &back));
+    ASSERT_TRUE(parseSweepOutcome(text, &back)) << text;
     EXPECT_EQ(back.wallSeconds, out.wallSeconds); // bit-exact, not near
     EXPECT_EQ(back.result.mech.status, out.result.mech.status);
-    EXPECT_EQ(back.result.mech.error, out.result.mech.error);
     EXPECT_EQ(back.result.mech.cycles, out.result.mech.cycles);
     EXPECT_EQ(back.result.mech.ipc, out.result.mech.ipc);
+    EXPECT_FALSE(back.result.mech.warmedUp);
+    EXPECT_EQ(back.result.mech.sampling.ipcCi95, 1e-300);
     EXPECT_EQ(back.result.mech.attrib.completed, 11u);
     for (unsigned c = 0; c < obs::NumAttribCats; ++c)
         EXPECT_EQ(back.result.mech.attrib.cycles[c], 100u + c);
     EXPECT_EQ(back.result.perfect.ipc, out.result.perfect.ipc);
+    // Every listed member, named or not above, survives.
+    EXPECT_EQ(outcomeText(back), text);
 
     SweepOutcome junk;
     EXPECT_FALSE(parseSweepOutcome("wall=1.0 nonsense", &junk));
     EXPECT_FALSE(parseSweepOutcome("", &junk));
+    EXPECT_FALSE(parseSweepOutcome("{}", &junk));
+    // A counter must decode exactly: no sign, fraction or exponent.
+    const std::string member = "\"user_insts\":42";
+    for (const char *bad : {"-1", "1.5", "1e3"}) {
+        std::string mutated = text;
+        mutated.replace(mutated.find(member), member.size(),
+                        "\"user_insts\":" + std::string(bad));
+        EXPECT_FALSE(parseSweepOutcome(mutated, &junk)) << bad;
+    }
+}
+
+TEST(CampaignSerialize, NullDoubleReadsBackAsNaN)
+{
+    // jsonNumber prints a non-finite double as null; it must still read
+    // back, so a run with a NaN statistic stays resumable.
+    SweepOutcome out;
+    out.result.mech.ipc = std::nan("");
+    out.result.perfect.ipc = HUGE_VAL;
+    const std::string text = outcomeText(out);
+    EXPECT_NE(text.find("\"ipc\":null"), std::string::npos) << text;
+    SweepOutcome back;
+    ASSERT_TRUE(parseSweepOutcome(text, &back)) << text;
+    EXPECT_TRUE(std::isnan(back.result.mech.ipc));
+    EXPECT_TRUE(std::isnan(back.result.perfect.ipc));
+    EXPECT_EQ(outcomeText(back), text);
 }
 
 TEST(CampaignSerialize, JobKeysSeparateDistinctCells)
@@ -288,17 +341,18 @@ sampleRecord(const std::string &key, RunStatus status)
     JournalRecord rec;
     rec.key = key;
     rec.label = "cell/" + key;
-    rec.status = status;
-    rec.attempts = 2;
     if (status == RunStatus::Ok) {
-        SweepOutcome out;
-        out.result.mech.ipc = 1.5;
-        rec.result = serializeSweepOutcome(out);
+        rec.outcome.state = CellState::Done;
+        rec.outcome.outcome.result.mech.ipc = 1.5;
     } else {
-        rec.quarantined = true;
-        rec.termSignal = SIGABRT;
-        rec.message = "child killed by signal 6";
-        rec.stderrTail = "panic: something\nwith lines";
+        rec.outcome.state = CellState::Failed;
+        JobFailure &failure = rec.outcome.failure;
+        failure.status = status;
+        failure.attempts = 2;
+        failure.quarantined = true;
+        failure.termSignal = SIGABRT;
+        failure.message = "child killed by signal 6";
+        failure.stderrTail = "panic: something\nwith lines";
     }
     return rec;
 }
@@ -320,15 +374,16 @@ TEST(Journal, AppendsAndReloads)
     EXPECT_FALSE(truncated);
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].key, "aaaa");
-    EXPECT_EQ(records[0].status, RunStatus::Ok);
-    EXPECT_EQ(records[0].attempts, 2u);
-    SweepOutcome out;
-    ASSERT_TRUE(parseSweepOutcome(records[0].result, &out));
-    EXPECT_EQ(out.result.mech.ipc, 1.5);
-    EXPECT_EQ(records[1].status, RunStatus::Crashed);
-    EXPECT_TRUE(records[1].quarantined);
-    EXPECT_EQ(records[1].termSignal, SIGABRT);
-    EXPECT_EQ(records[1].stderrTail, "panic: something\nwith lines");
+    EXPECT_EQ(records[0].label, "cell/aaaa");
+    EXPECT_EQ(records[0].outcome.state, CellState::Done);
+    EXPECT_EQ(records[0].outcome.outcome.result.mech.ipc, 1.5);
+    const JobFailure &failure = records[1].outcome.failure;
+    EXPECT_EQ(records[1].outcome.state, CellState::Failed);
+    EXPECT_EQ(failure.status, RunStatus::Crashed);
+    EXPECT_EQ(failure.attempts, 2u);
+    EXPECT_TRUE(failure.quarantined);
+    EXPECT_EQ(failure.termSignal, SIGABRT);
+    EXPECT_EQ(failure.stderrTail, "panic: something\nwith lines");
 
     // Re-opening appends rather than truncating.
     {
@@ -380,7 +435,7 @@ TEST(Journal, MidFileCorruptionRejected)
     // somewhere that is not the final line — that is damage, not a
     // mid-append crash, and must be a hard error naming the line.
     std::string content = readFile(path);
-    size_t target = content.find("label=");
+    size_t target = content.find("\"label\"");
     ASSERT_NE(target, std::string::npos);
     content[target] = 'X';
     {
@@ -396,15 +451,83 @@ TEST(Journal, MidFileCorruptionRejected)
 
 TEST(Journal, RejectsForeignFile)
 {
+    // A results document, and a journal of the token-line format
+    // before v2: neither is read as records.
     const std::string path = tempPath("foreign.journal");
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "{\"schema\":\"zmt-sweep-results-v1\"}\n";
+    for (const char *content :
+         {"{\"schema\":\"zmt-sweep-results-v1\"}\n",
+          "zmt-journal-v1\n"}) {
+        writeFile(path, content);
+        std::vector<JournalRecord> records;
+        std::string error;
+        EXPECT_FALSE(loadJournal(path, &records, &error)) << content;
+        EXPECT_NE(error.find("zmt-journal-v2"), std::string::npos)
+            << error;
     }
+}
+
+TEST(Journal, UndecodableRecordIsCorruption)
+{
+    // A record whose checksum holds but whose JSON is not a journal
+    // record is damage like any other: fatal mid-file, tolerated as the
+    // torn final line.
+    const std::string path = tempPath("undecodable.journal");
+    std::remove(path.c_str());
+    {
+        CampaignJournal journal;
+        ASSERT_TRUE(journal.open(path));
+        journal.append(sampleRecord("aaaa", RunStatus::Ok));
+    }
+    const std::string payload = "{\"key\":\"bbbb\",\"label\":\"x\"}";
+    const std::string bad = hex64(fnv1a64(payload)) + " " + payload + "\n";
+    const std::string good = readFile(path);
+
+    writeFile(path, good + bad + good.substr(good.find('\n') + 1));
     std::vector<JournalRecord> records;
     std::string error;
     EXPECT_FALSE(loadJournal(path, &records, &error));
-    EXPECT_NE(error.find("zmt-journal-v1"), std::string::npos);
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("does not decode"), std::string::npos) << error;
+
+    writeFile(path, good + bad);
+    records.clear();
+    bool truncated = false;
+    ASSERT_TRUE(loadJournal(path, &records, &error, &truncated)) << error;
+    EXPECT_TRUE(truncated);
+    EXPECT_EQ(records.size(), 1u);
+}
+
+TEST(Journal, FailureRoundTripsArbitraryBytes)
+{
+    // message and stderr_tail hold whatever a dying child printed.
+    std::string bytes = "quote\" back\\slash\nnew\rline\ttab";
+    for (int c = 0; c < 0x20; ++c)
+        bytes += char(c);
+    bytes += "\x7f\xff\xc3\xa9 end";
+
+    const std::string path = tempPath("bytes.journal");
+    std::remove(path.c_str());
+    JournalRecord rec = sampleRecord("aaaa", RunStatus::Timeout);
+    rec.label = bytes;
+    rec.outcome.failure.exitCode = 255;
+    rec.outcome.failure.message = bytes;
+    rec.outcome.failure.stderrTail = bytes + bytes;
+    {
+        CampaignJournal journal;
+        ASSERT_TRUE(journal.open(path));
+        journal.append(rec);
+    }
+    std::vector<JournalRecord> records;
+    std::string error;
+    ASSERT_TRUE(loadJournal(path, &records, &error)) << error;
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].label, bytes);
+    EXPECT_EQ(jobFailureJson(records[0].outcome.failure),
+              jobFailureJson(rec.outcome.failure));
+    EXPECT_EQ(records[0].outcome.failure.message, bytes);
+    EXPECT_EQ(records[0].outcome.failure.stderrTail, bytes + bytes);
+    EXPECT_EQ(records[0].outcome.failure.status, RunStatus::Timeout);
+    EXPECT_EQ(records[0].outcome.failure.exitCode, 255);
 }
 
 // ---------------------------------------------------------------------
@@ -677,6 +800,88 @@ TEST(Campaign, FailedCellsReRunOnResume)
 }
 
 // ---------------------------------------------------------------------
+// Seeded mutation of the persisted formats
+// ---------------------------------------------------------------------
+
+/** Every prefix of @p doc, then @p flips copies with 1-4 random bytes
+ *  replaced; @p check must neither crash nor hang on any of them. */
+void
+mutateAll(const std::string &doc, uint64_t seed, unsigned flips,
+          const std::function<void(const std::string &)> &check)
+{
+    for (size_t n = 0; n < doc.size(); ++n)
+        check(doc.substr(0, n));
+    Rng rng(seed);
+    for (unsigned i = 0; i < flips; ++i) {
+        std::string mutated = doc;
+        for (uint64_t k = rng.range(1, 4); k > 0; --k)
+            mutated[rng.below(mutated.size())] = char(rng.next());
+        check(mutated);
+    }
+}
+
+TEST(CampaignFuzz, ParsersSurviveTruncationAndByteFlips)
+{
+    const std::vector<SweepJob> jobs = tinyJobList();
+    std::vector<CampaignOutcome> outcomes(jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        outcomes[i].state = CellState::Done;
+        outcomes[i].outcome.result.mech.cycles = 1000 + i;
+        outcomes[i].outcome.result.mech.ipc = 1.0 / double(i + 3);
+    }
+    outcomes[1] = sampleRecord("x", RunStatus::Crashed).outcome;
+
+    // A writeSweepOutcome document.
+    size_t accepted = 0;
+    mutateAll(outcomeText(outcomes[0].outcome), 1, 3000,
+              [&](const std::string &text) {
+                  SweepOutcome out;
+                  accepted += parseSweepOutcome(text, &out);
+              });
+
+    // A three-record journal.
+    const std::string path = tempPath("fuzz.journal");
+    std::remove(path.c_str());
+    {
+        CampaignJournal journal;
+        ASSERT_TRUE(journal.open(path));
+        for (size_t i = 0; i < 3; ++i)
+            journal.append({sweepJobKey(jobs[i]), jobs[i].label,
+                            outcomes[i]});
+    }
+    mutateAll(readFile(path), 2, 3000, [&](const std::string &text) {
+        // As damaged, and with every record's checksum recomputed so
+        // that the mutated JSON reaches the record decoder.
+        std::string resealed;
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);) {
+            if (!resealed.empty() && line.size() > 17)
+                line.replace(0, 16, hex64(fnv1a64(line.substr(17))));
+            resealed += line + "\n";
+        }
+        for (const std::string &damaged : {text, resealed}) {
+            writeFile(path, damaged);
+            std::vector<JournalRecord> records;
+            std::string error;
+            accepted += loadJournal(path, &records, &error);
+        }
+    });
+
+    // A two-cell results document.
+    std::vector<SweepJob> two(jobs.begin(), jobs.begin() + 2);
+    std::vector<CampaignOutcome> twoOutcomes(outcomes.begin(),
+                                             outcomes.begin() + 2);
+    mutateAll(campaignResultsJson("unit", two, twoOutcomes, 1, 0.0,
+                                  CampaignOptions{}, false),
+              3, 3000, [&](const std::string &text) {
+                  std::string merged, error;
+                  accepted += mergeSweepResults({text}, &merged, &error);
+              });
+    // Most mutants are rejected, and some (a flipped digit) are not.
+    EXPECT_GT(accepted, 0u);
+}
+
+// ---------------------------------------------------------------------
 // Merge edge cases
 // ---------------------------------------------------------------------
 
@@ -738,6 +943,15 @@ TEST(MergeResults, RejectsBadInputs)
          "\"cells\":[{\"label\":\"x\"}]}"},
         &merged, &error));
     EXPECT_NE(error.find("index"), std::string::npos) << error;
+    // An index is a plain non-negative integer, decoded exactly.
+    for (const char *index : {"-1", "1.5", "1e0"}) {
+        EXPECT_FALSE(mergeSweepResults(
+            {std::string("{\"schema\":\"zmt-sweep-results-v1\",\"name\":"
+                         "\"n\",\"cells\":[{\"index\":") +
+             index + ",\"failure\":null}]}"},
+            &merged, &error, true))
+            << index;
+    }
     // Mismatched sweep names cannot belong to one campaign.
     EXPECT_FALSE(mergeSweepResults(
         {"{\"schema\":\"zmt-sweep-results-v1\",\"name\":\"a\","

@@ -1,17 +1,21 @@
 /**
  * @file
- * Unit tests for the common substrate: types, RNG, and the statistics
- * package.
+ * Unit tests for the common substrate: types, RNG, the statistics
+ * package, and JSON emission and span reading.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
+#include "common/jsonparse.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
@@ -151,24 +155,6 @@ TEST(Stats, DistributionMinMaxNaNBeforeFirstSample)
     EXPECT_TRUE(std::isnan(dist.maxSample()));
 }
 
-TEST(Stats, DumpJsonIsParseableAndNullsNonFinite)
-{
-    stats::StatGroup root("sim");
-    stats::Scalar a(&root, "a", "");
-    a = 3;
-    stats::Distribution dist(&root, "dist", "", 0, 100, 10); // no samples
-    std::ostringstream os;
-    root.dumpJson(os);
-    const std::string text = os.str();
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_NE(text.find("\"sim.a\": 3"), std::string::npos);
-    // The unsampled distribution's NaN min/max must become JSON null,
-    // never a bare nan token.
-    EXPECT_NE(text.find("\"sim.dist::min\": null"), std::string::npos);
-    EXPECT_EQ(text.find("nan"), std::string::npos);
-    EXPECT_NE(text.find("\n}\n"), std::string::npos);
-}
-
 TEST(Stats, FormulaLazy)
 {
     stats::StatGroup root("root");
@@ -265,6 +251,90 @@ TEST(Stats, ResetAllRecurses)
     root.resetAll();
     EXPECT_EQ(a.value(), 0.0);
     EXPECT_EQ(b.value(), 0.0);
+}
+
+TEST(Json, NumberNullsNonFinite)
+{
+    // NaN and infinity have no JSON spelling: null, never a bare nan.
+    EXPECT_EQ(jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(jsonNumber(HUGE_VAL), "null");
+    EXPECT_EQ(jsonNumber(-HUGE_VAL), "null");
+    EXPECT_EQ(jsonNumber(3), "3");
+    // Finite values print with enough digits to read back exactly.
+    const double third = 1.0 / 3.0;
+    EXPECT_EQ(std::strtod(jsonNumber(third).c_str(), nullptr), third);
+}
+
+TEST(JsonSpan, LocatesMembersAndElements)
+{
+    const std::string doc =
+        " {\"a\": [1, {\"b\": \"x\\\"y\\n\\u0001\"}, null], \"c\": true} ";
+    jsonspan::Span root, a, b;
+    std::string error;
+    ASSERT_TRUE(jsonspan::validate(doc, &root, &error)) << error;
+    ASSERT_TRUE(jsonspan::objectField(doc, root, "a", &a));
+    std::vector<jsonspan::Span> elements;
+    ASSERT_TRUE(jsonspan::arrayElements(doc, a, &elements));
+    ASSERT_EQ(elements.size(), 3u);
+    EXPECT_TRUE(jsonspan::isNull(doc, elements[2]));
+    ASSERT_TRUE(jsonspan::objectField(doc, elements[1], "b", &b));
+    std::string text;
+    ASSERT_TRUE(jsonspan::decodeString(doc, b, &text));
+    EXPECT_EQ(text, std::string("x\"y\n\x01"));
+    EXPECT_FALSE(jsonspan::objectField(doc, root, "missing", &b));
+    EXPECT_FALSE(jsonspan::objectField(doc, a, "a", &b)); // not an object
+
+    // jsonEscape's output decodes back to every byte it was given.
+    std::string bytes;
+    for (int c = 0; c < 256; ++c)
+        bytes += char(c);
+    std::string quoted = jsonEscape(bytes);
+    quoted.insert(quoted.begin(), '"');
+    quoted += '"';
+    ASSERT_TRUE(jsonspan::validate(quoted, &root));
+    ASSERT_TRUE(jsonspan::decodeString(quoted, root, &text));
+    EXPECT_EQ(text, bytes);
+
+    for (const char *bad : {"", "{", "[1,]x", "{\"a\" 1}", "\"open", "nul"})
+        EXPECT_FALSE(jsonspan::validate(bad)) << bad;
+}
+
+TEST(JsonSpan, DecodeUnsignedIsExact)
+{
+    auto decode = [](const std::string &doc, uint64_t *out) {
+        jsonspan::Span span;
+        return jsonspan::validate(doc, &span) &&
+               jsonspan::decodeUnsigned(doc, span, out);
+    };
+    uint64_t v = 0;
+    ASSERT_TRUE(decode("9007199254740993", &v)); // 2^53 + 1
+    EXPECT_EQ(v, (uint64_t(1) << 53) + 1);
+    ASSERT_TRUE(decode("18446744073709551615", &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    ASSERT_TRUE(decode("0", &v));
+    EXPECT_EQ(v, 0u);
+    for (const char *bad :
+         {"-1", "1.5", "1e3", "18446744073709551616", "99999999999999999999",
+          "null", "\"1\""})
+        EXPECT_FALSE(decode(bad, &v)) << bad;
+}
+
+TEST(JsonSpan, DeepNestingRejected)
+{
+    // Without a depth bound the recursive scan overflows the stack
+    // long before it reaches the end of this.
+    std::string error;
+    EXPECT_FALSE(jsonspan::validate(std::string(300000, '['), nullptr,
+                                    &error));
+    EXPECT_NE(error.find("64"), std::string::npos) << error;
+    EXPECT_FALSE(jsonspan::validate(std::string(300000, '{'), nullptr,
+                                    &error));
+
+    // Up to the bound, nesting is fine.
+    const std::string deepest =
+        std::string(64, '[') + std::string(64, ']');
+    EXPECT_TRUE(jsonspan::validate(deepest, nullptr, &error)) << error;
+    EXPECT_FALSE(jsonspan::validate("[" + deepest + "]", nullptr, &error));
 }
 
 } // anonymous namespace

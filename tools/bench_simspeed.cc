@@ -37,6 +37,7 @@
 #include "kernel/ffwd.hh"
 #include "kernel/funcmachine.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -127,9 +128,9 @@ main(int argc, char **argv)
             return nullptr;
         };
         if (const char *v = value("--insts")) {
-            insts = std::strtoull(v, nullptr, 0);
+            insts = parseUnsigned("--insts", v);
         } else if (const char *v = value("--repeat")) {
-            repeat = unsigned(std::strtoul(v, nullptr, 0));
+            repeat = unsigned(parseUnsigned("--repeat", v));
         } else if (const char *v = value("--bench")) {
             bench = v;
         } else if (const char *v = value("--json")) {

@@ -20,6 +20,7 @@
 
 #include "common/hash.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -58,7 +59,7 @@ cmdCreate(int argc, char **argv)
         if (const char *v = value("--out")) {
             out = v;
         } else if (const char *v = value("--insts")) {
-            params.ffwd.insts = std::strtoull(v, nullptr, 0);
+            params.ffwd.insts = parseUnsigned("--insts", v);
         } else if (arg.find('=') != std::string::npos) {
             params.setKeyValue(arg);
         } else {

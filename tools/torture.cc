@@ -41,10 +41,9 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "sim/simulator.hh"
-#include "common/json.hh"
 #include "sim/campaign.hh"
-#include "sim/sweep.hh"
+#include "sim/jsonfields.hh"
+#include "sim/simulator.hh"
 #include "verify/diffcheck.hh"
 
 using namespace zmt;
@@ -184,7 +183,7 @@ parseArg(const char *arg, const char *key, uint64_t fallback, bool *found)
     if (s.rfind(prefix, 0) != 0)
         return fallback;
     *found = true;
-    return std::strtoull(s.c_str() + prefix.size(), nullptr, 0);
+    return parseUnsigned(key, s.c_str() + prefix.size());
 }
 
 std::string
@@ -215,76 +214,22 @@ struct RunOutcome
     double handlerSquashes = 0;
 };
 
-/**
- * Line-based RunOutcome serialization for the isolate-mode result
- * pipe. desc/why are single-line by construction (snprintf / one-line
- * diff summaries), so "key=rest-of-line" is unambiguous; the stat
- * doubles use hexfloat for an exact round trip.
- */
-std::string
-serializeOutcome(const RunOutcome &out)
+/** RunOutcome's field list: an isolated run's result crosses the pipe
+ *  as this JSON object. */
+template <RecordOf<RunOutcome> R, typename V>
+void
+visitFields(R &o, V &&v)
 {
-    std::ostringstream os;
-    os << "failed=" << (out.failed ? 1 : 0) << "\ncycles=" << out.cycles
-       << "\nmisses=" << out.misses;
-    char buf[64];
-    auto hexDouble = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof buf, "%a", v);
-        os << "\n" << key << "=" << buf;
-    };
-    hexDouble("hardReverts", out.hardReverts);
-    hexDouble("deadlockSquashes", out.deadlockSquashes);
-    hexDouble("relinks", out.relinks);
-    hexDouble("mtFallbacks", out.mtFallbacks);
-    hexDouble("handlerSquashes", out.handlerSquashes);
-    os << "\ndesc=" << out.desc << "\nwhy=" << out.why << "\n";
-    return os.str();
-}
-
-bool
-parseOutcome(const std::string &text, RunOutcome *out)
-{
-    RunOutcome r;
-    unsigned seen = 0;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t nl = text.find('\n', pos);
-        size_t end = nl == std::string::npos ? text.size() : nl;
-        std::string line = text.substr(pos, end - pos);
-        pos = end + 1;
-        size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return false;
-        std::string key = line.substr(0, eq);
-        std::string value = line.substr(eq + 1);
-        ++seen;
-        if (key == "failed")
-            r.failed = value == "1";
-        else if (key == "cycles")
-            r.cycles = std::strtoull(value.c_str(), nullptr, 10);
-        else if (key == "misses")
-            r.misses = std::strtoull(value.c_str(), nullptr, 10);
-        else if (key == "hardReverts")
-            r.hardReverts = std::strtod(value.c_str(), nullptr);
-        else if (key == "deadlockSquashes")
-            r.deadlockSquashes = std::strtod(value.c_str(), nullptr);
-        else if (key == "relinks")
-            r.relinks = std::strtod(value.c_str(), nullptr);
-        else if (key == "mtFallbacks")
-            r.mtFallbacks = std::strtod(value.c_str(), nullptr);
-        else if (key == "handlerSquashes")
-            r.handlerSquashes = std::strtod(value.c_str(), nullptr);
-        else if (key == "desc")
-            r.desc = value;
-        else if (key == "why")
-            r.why = value;
-        else
-            --seen;
-    }
-    if (seen < 10)
-        return false;
-    *out = std::move(r);
-    return true;
+    v("desc", o.desc);
+    v("failed", o.failed);
+    v("why", o.why);
+    v("cycles", o.cycles);
+    v("misses", o.misses);
+    v("hardReverts", o.hardReverts);
+    v("deadlockSquashes", o.deadlockSquashes);
+    v("relinks", o.relinks);
+    v("mtFallbacks", o.mtFallbacks);
+    v("handlerSquashes", o.handlerSquashes);
 }
 
 } // anonymous namespace
@@ -324,6 +269,11 @@ main(int argc, char **argv)
                          "[timeout=SECONDS]\n");
             return 2;
         }
+    }
+    if (base_insts == 0) {
+        // Each run draws its length below insts: there is no run of 0.
+        std::fprintf(stderr, "bad insts value '0' (must be >= 1)\n");
+        return 2;
     }
     double timeout_s = 0.0;
     if (!timeout_text.empty()) {
@@ -395,42 +345,24 @@ main(int argc, char **argv)
         // Isolated: a crash or hang in this configuration becomes this
         // run's failure record instead of killing the sweep.
         ChildResult child = runInForkedChild(
-            [&runOne] { return serializeOutcome(runOne()); }, timeout_s);
+            [&runOne] {
+                std::ostringstream os;
+                writeJsonObject(os, runOne());
+                return os.str();
+            },
+            timeout_s);
         RunOutcome &out = outcomes[k];
+        if (child.state == ChildResult::State::Ok &&
+            parseJsonObject(child.payload, &out))
+            return;
+        JobFailure failure = childFailure(child);
         out.desc = cfg.desc;
-        auto firstLine = [](const std::string &text) {
-            auto nl = text.find('\n');
-            return nl == std::string::npos ? text : text.substr(0, nl);
-        };
-        switch (child.state) {
-          case ChildResult::State::Ok:
-            if (!parseOutcome(child.payload, &out)) {
-                out.failed = true;
-                out.why = "crashed: child result payload unparseable";
-                out.desc = cfg.desc;
-            }
-            break;
-          case ChildResult::State::Exited:
-            out.failed = true;
-            out.why = "crashed: child exited with status " +
-                      std::to_string(child.exitCode) + " (" +
-                      firstLine(child.stderrTail) + ")";
-            break;
-          case ChildResult::State::Signaled:
-            out.failed = true;
-            out.why = "crashed: child killed by signal " +
-                      std::to_string(child.termSignal) + " (" +
-                      firstLine(child.stderrTail) + ")";
-            break;
-          case ChildResult::State::TimedOut:
-            out.failed = true;
-            out.why = "timeout: exceeded wall-clock budget";
-            break;
-          case ChildResult::State::ForkFailed:
-            out.failed = true;
-            out.why = "crashed: could not fork isolated child";
-            break;
-        }
+        out.failed = true;
+        out.why = std::string(runStatusName(failure.status)) + ": " +
+                  failure.message;
+        const std::string &tail = failure.stderrTail;
+        if (!tail.empty())
+            out.why += " (" + tail.substr(0, tail.find('\n')) + ")";
     });
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
