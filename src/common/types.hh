@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace zmt
 {
@@ -54,6 +55,14 @@ pageBase(Addr addr)
 {
     return addr & ~PageMask;
 }
+
+/**
+ * The record parameter of a field list, a visitFields(record, v)
+ * template naming each member of @p T once: @p T, or const @p T when
+ * the list is walked for writing.
+ */
+template <typename R, typename T>
+concept RecordOf = std::is_same_v<std::remove_const_t<R>, T>;
 
 } // namespace zmt
 

@@ -325,11 +325,13 @@ struct FfwdParams
      * Record warm state during fast-forward (touched TLB pages and
      * cache lines) and install it before detailed simulation starts,
      * so the measured window does not begin with an artificially cold
-     * hierarchy.
+     * hierarchy. A restore installs a checkpoint's warm state only
+     * under this flag, so a cold restore matches the cold straight run.
      */
     bool warm = true;
 
-    /** After fast-forward, write a checkpoint to this path ("" = off). */
+    /** After fast-forward, write a checkpoint to this path ("" = off);
+     *  needs insts > 0. */
     std::string save;
 
     /**

@@ -377,15 +377,9 @@ bool
 parseJournalLine(const std::string &line, JournalRecord *rec,
                  std::string *why)
 {
-    if (line.size() < 18 || line[16] != ' ') {
-        *why = "truncated record";
+    std::string payload;
+    if (!openRecord(line, &payload, why))
         return false;
-    }
-    std::string payload = line.substr(17);
-    if (hex64(fnv1a64(payload)) != line.substr(0, 16)) {
-        *why = "record checksum mismatch";
-        return false;
-    }
     if (!parseJournalPayload(payload, rec)) {
         *why = "record does not decode";
         return false;
@@ -423,8 +417,7 @@ CampaignJournal::append(const JournalRecord &record)
 {
     if (fd < 0)
         return;
-    std::string payload = journalPayload(record);
-    std::string line = hex64(fnv1a64(payload)) + " " + payload + "\n";
+    std::string line = sealRecord(journalPayload(record)) + "\n";
     std::lock_guard<std::mutex> lock(mutex);
     // One write() + fsync per record: O_APPEND makes the write atomic
     // with respect to other appenders, and a crash can at worst leave

@@ -10,15 +10,17 @@
  * allocator's high-water mark, and the warm-state trace (TLB pages
  * and cache-line grains, in LRU order) recorded during fast-forward.
  *
- * On-disk format (`zmt-checkpoint-v1`) follows the campaign journal's
- * conventions (sim/campaign.cc): a header line, then one record per
- * line as `<16-hex-char fnv1a64> <payload>` where the checksum covers
- * the payload; payloads are whitespace-separated key=value tokens
- * with percent-encoded strings (common/fieldcodec.hh). Unlike the
- * journal — an append-only log where a torn *final* line just means a
- * crash mid-append — a checkpoint is written whole via temp+rename,
- * so loading is strict: any malformed line, count mismatch, or
- * missing `end` trailer rejects the file with a line-numbered error.
+ * On-disk format (`zmt-checkpoint-v2`): a header line, then one record
+ * line `<16-hex fnv1a64> <JSON>` (common/hash.hh's sealRecord framing,
+ * shared with the campaign journal) whose JSON object is the whole
+ * CheckpointData, written and read through the field lists in
+ * checkpoint.cc and the one record codec (sim/jsonfields.hh). Nothing
+ * follows the record. A checkpoint is written whole via temp+rename,
+ * so loading is strict: a wrong header, a truncated file, a checksum
+ * mismatch, any byte after the record, a missing or malformed member
+ * (out of its C++ type's range, an array of the wrong length, bad
+ * hex), a page longer than PageBytes or a checkpoint without
+ * processes rejects the file with an error naming it.
  */
 
 #ifndef ZMT_SIM_CHECKPOINT_HH
@@ -26,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "kernel/ffwd.hh"
@@ -40,22 +41,25 @@ class SmtCore;
 /** One process's slice of a checkpoint. */
 struct CheckpointProc
 {
-    /** The resolved workload definition (canonicalKey round trip), so
-     *  a restored run can report and verify what it is simulating. */
+    /** The resolved workload definition, so a restored run can report
+     *  and verify what it is simulating. */
     WorkloadParams wload;
 
-    Asn asn = 0;
-    Addr ptbr = 0;
-    Addr vaLimit = 0;
-    uint64_t mappedPages = 0;
-    Addr entry = 0;
-
-    /** Precise resume state at the fast-forward boundary. */
-    ArchState arch;
+    /** The address space and the precise resume state at the
+     *  fast-forward boundary, as Process's restore constructor takes
+     *  them. */
+    ProcessRestore restore;
 
     uint64_t ffwdInsts = 0; //!< instructions this process fast-forwarded
     uint64_t storeHash = 0; //!< running store hash at the boundary
     bool halted = false;    //!< program ran to HALT during fast-forward
+};
+
+/** One resident physical page. */
+struct CheckpointPage
+{
+    Addr ppn = 0;
+    std::vector<uint8_t> bytes; //!< contents, trailing zeros trimmed
 };
 
 /** A complete checkpoint, in memory. */
@@ -65,9 +69,7 @@ struct CheckpointData
     Addr framesNext = 0;    //!< FrameAllocator resume point
 
     std::vector<CheckpointProc> procs;
-
-    /** Resident physical pages: (ppn, zero-trimmed contents). */
-    std::vector<std::pair<Addr, std::vector<uint8_t>>> pages;
+    std::vector<CheckpointPage> pages;
 
     /** Warm state, oldest touch first (replay order). */
     std::vector<WarmPage> warmPages;
@@ -82,9 +84,8 @@ bool saveCheckpoint(const CheckpointData &data, const std::string &path,
                     std::string *error);
 
 /**
- * Load a checkpoint. Strict: returns false with a line/offset-bearing
- * @p error on any damage — wrong header, checksum mismatch, malformed
- * or missing fields, record-count mismatch, missing `end` trailer.
+ * Load a checkpoint. Strict: returns false with @p error naming the
+ * file on any damage listed in the file comment.
  */
 bool loadCheckpoint(const std::string &path, CheckpointData *data,
                     std::string *error);

@@ -98,6 +98,9 @@ Simulator::build(const SimParams &params,
         return;
     }
 
+    fatal_if(!params.ffwd.save.empty() && params.ffwd.insts == 0,
+             "ffwd.save needs ffwd.insts: the checkpoint is written at "
+             "the end of the fast-forward");
     fatal_if(workloads.empty(), "no workloads given");
 
     // PAL image lives in physical memory below the frame region.
@@ -149,8 +152,8 @@ Simulator::buildFromCheckpoint(const SimParams &params,
     // Pages first: the imported frames contain the page tables and all
     // mapped text/data, so the Process restore constructors can adopt
     // the tables without allocating anything.
-    for (const auto &[ppn, bytes] : checkpoint.pages)
-        physMem.importPage(ppn, bytes.data(), bytes.size());
+    for (const CheckpointPage &page : checkpoint.pages)
+        physMem.importPage(page.ppn, page.bytes.data(), page.bytes.size());
     frames.reset(checkpoint.framesNext);
 
     // Re-assembling the PAL image writes the identical words the
@@ -163,22 +166,19 @@ Simulator::buildFromCheckpoint(const SimParams &params,
     ffwdDone = checkpoint.ffwdTotal;
     for (const CheckpointProc &cp : checkpoint.procs) {
         wloads.push_back(cp.wload);
-        ProcessRestore restore;
-        restore.asn = cp.asn;
-        restore.ptbr = cp.ptbr;
-        restore.vaLimit = cp.vaLimit;
-        restore.mappedPages = cp.mappedPages;
-        restore.entry = cp.entry;
-        restore.resume = cp.arch;
         procs.push_back(
-            std::make_unique<Process>(restore, physMem, frames));
+            std::make_unique<Process>(cp.restore, physMem, frames));
         procFfwd.push_back(cp.ffwdInsts);
         procStoreHash.push_back(cp.storeHash);
         procHalted.push_back(cp.halted);
     }
 
-    warmPages = checkpoint.warmPages;
-    warmLines = checkpoint.warmLines;
+    // A cold restore (ffwd.warm=0) is the cold straight run: it leaves
+    // the recorded warm state unused, as that run never recorded it.
+    if (params.ffwd.warm) {
+        warmPages = checkpoint.warmPages;
+        warmLines = checkpoint.warmLines;
+    }
 
     finishBuild(params);
 }
@@ -254,14 +254,12 @@ Simulator::captureCheckpoint() const
     data.framesNext = frames.allocated();
 
     for (size_t i = 0; i < procs.size(); ++i) {
+        const AddressSpace &space = procs[i]->space();
         CheckpointProc cp;
         cp.wload = wloads[i];
-        cp.asn = procs[i]->asn();
-        cp.ptbr = procs[i]->space().ptbr();
-        cp.vaLimit = procs[i]->space().vaLimit();
-        cp.mappedPages = procs[i]->space().mappedPages();
-        cp.entry = procs[i]->entry();
-        cp.arch = procs[i]->initialState();
+        cp.restore = {procs[i]->asn(), space.ptbr(), space.vaLimit(),
+                      space.mappedPages(), procs[i]->entry(),
+                      procs[i]->initialState()};
         cp.ffwdInsts = procFfwd[i];
         cp.storeHash = procStoreHash[i];
         cp.halted = procHalted[i];
@@ -274,8 +272,8 @@ Simulator::captureCheckpoint() const
         size_t len = PageBytes;
         while (len > 0 && bytes[len - 1] == 0)
             --len;
-        data.pages.emplace_back(
-            ppn, std::vector<uint8_t>(bytes, bytes + len));
+        data.pages.push_back(
+            {ppn, std::vector<uint8_t>(bytes, bytes + len)});
     });
 
     data.warmPages = warmPages;

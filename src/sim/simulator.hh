@@ -29,9 +29,10 @@ class Simulator
      * workload, and the configured core. When params.ffwd.insts > 0
      * the processes are first fast-forwarded functionally (warm state
      * recorded and installed per ffwd.warm); when ffwd.save is set a
-     * checkpoint is written at the fast-forward boundary; when
-     * ffwd.restore is set the system is rebuilt from that checkpoint
-     * instead and @p workloads must be empty.
+     * checkpoint is written at the fast-forward boundary (ffwd.save
+     * without ffwd.insts is fatal); when ffwd.restore is set the
+     * system is rebuilt from that checkpoint instead, its warm state
+     * installed per ffwd.warm, and @p workloads must be empty.
      */
     Simulator(const SimParams &params,
               const std::vector<WorkloadParams> &workloads);

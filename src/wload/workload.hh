@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hh"
 #include "kernel/process.hh"
 
 namespace zmt
@@ -115,21 +116,53 @@ const std::vector<std::string> &benchmarkNames();
 std::string shortName(const std::string &bench);
 
 /**
- * Canonical full serialization of a workload definition — every field
- * that affects the generated program. Combined with
+ * The one field list of WorkloadParams: every field that affects the
+ * generated program, in key order. canonicalKey() prints it, and the
+ * checkpoint writes and reads it as a JSON object (sim/jsonfields.hh).
+ */
+template <RecordOf<WorkloadParams> W, typename V>
+void
+visitFields(W &w, V &&v)
+{
+    v("name", w.name);
+    v("farLoadsPerOuter", w.farLoadsPerOuter);
+    v("innerIters", w.innerIters);
+    v("farPagesLog2", w.farPagesLog2);
+    v("hotBytesLog2", w.hotBytesLog2);
+    v("aluChains", w.aluChains);
+    v("aluOpsPerChain", w.aluOpsPerChain);
+    v("fpChains", w.fpChains);
+    v("fpOpsPerChain", w.fpOpsPerChain);
+    v("useFpDiv", w.useFpDiv);
+    v("fsqrtOps", w.fsqrtOps);
+    v("serialMuls", w.serialMuls);
+    v("hotLoads", w.hotLoads);
+    v("hotStores", w.hotStores);
+    v("chaseLoads", w.chaseLoads);
+    v("farFeedsChase", w.farFeedsChase);
+    v("randomBranches", w.randomBranches);
+    v("indirectFarJumps", w.indirectFarJumps);
+    v("ifjFarMask", w.ifjFarMask);
+    v("seed", w.seed);
+    v("textBase", w.textBase);
+    v("hotBase", w.hotBase);
+    v("farBase", w.farBase);
+    v("sharedGroup", w.sharedGroup);
+    v("sharedBytesLog2", w.sharedBytesLog2);
+    v("sharedStores", w.sharedStores);
+    v("sharedLoads", w.sharedLoads);
+    v("sliceIndex", w.sliceIndex);
+    v("sliceCount", w.sliceCount);
+    v("sharedBase", w.sharedBase);
+}
+
+/**
+ * Canonical full serialization of a workload definition, as
+ * "name=value;" for each member of its field list. Combined with
  * SimParams::canonicalKey() this uniquely identifies a simulation, so
  * the sweep runner's caches can key on it safely.
  */
 std::string canonicalKey(const WorkloadParams &params);
-
-/**
- * Parse what canonicalKey() prints, field for field in the same order.
- * @return false with @p why set on a missing, unknown or reordered
- * field, a missing ';', or a value that is not a plain decimal number
- * in the field's range (0/1 for a bool).
- */
-bool parseWorkloadKey(const std::string &text, WorkloadParams *wp,
-                      std::string *why);
 
 } // namespace zmt
 

@@ -18,7 +18,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,7 +26,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
+#include "mutate.hh"
 #include "sim/campaign.hh"
 
 namespace
@@ -479,7 +478,7 @@ TEST(Journal, UndecodableRecordIsCorruption)
         journal.append(sampleRecord("aaaa", RunStatus::Ok));
     }
     const std::string payload = "{\"key\":\"bbbb\",\"label\":\"x\"}";
-    const std::string bad = hex64(fnv1a64(payload)) + " " + payload + "\n";
+    const std::string bad = sealRecord(payload) + "\n";
     const std::string good = readFile(path);
 
     writeFile(path, good + bad + good.substr(good.find('\n') + 1));
@@ -803,23 +802,6 @@ TEST(Campaign, FailedCellsReRunOnResume)
 // Seeded mutation of the persisted formats
 // ---------------------------------------------------------------------
 
-/** Every prefix of @p doc, then @p flips copies with 1-4 random bytes
- *  replaced; @p check must neither crash nor hang on any of them. */
-void
-mutateAll(const std::string &doc, uint64_t seed, unsigned flips,
-          const std::function<void(const std::string &)> &check)
-{
-    for (size_t n = 0; n < doc.size(); ++n)
-        check(doc.substr(0, n));
-    Rng rng(seed);
-    for (unsigned i = 0; i < flips; ++i) {
-        std::string mutated = doc;
-        for (uint64_t k = rng.range(1, 4); k > 0; --k)
-            mutated[rng.below(mutated.size())] = char(rng.next());
-        check(mutated);
-    }
-}
-
 TEST(CampaignFuzz, ParsersSurviveTruncationAndByteFlips)
 {
     const std::vector<SweepJob> jobs = tinyJobList();
@@ -856,7 +838,7 @@ TEST(CampaignFuzz, ParsersSurviveTruncationAndByteFlips)
         std::istringstream lines(text);
         for (std::string line; std::getline(lines, line);) {
             if (!resealed.empty() && line.size() > 17)
-                line.replace(0, 16, hex64(fnv1a64(line.substr(17))));
+                line = sealRecord(line.substr(17));
             resealed += line + "\n";
         }
         for (const std::string &damaged : {text, resealed}) {

@@ -5,9 +5,10 @@
  * step-by-step interpretation, warm tracing observational, checkpoint
  * save/load round trips byte-exactly, a detailed run restored from a
  * checkpoint matches the uninterrupted run's statistics dump for every
- * exception mechanism, damaged checkpoint files are rejected with
- * line-numbered errors, and the SMARTS sampling driver aggregates
- * deterministically.
+ * exception mechanism, warm and cold, and for SMT mixes, damaged
+ * checkpoint files are rejected with errors naming the file, the
+ * loader survives seeded truncation and byte flips, and the SMARTS
+ * sampling driver aggregates deterministically.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,11 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/random.hh"
 #include "kernel/ffwd.hh"
 #include "kernel/funcmachine.hh"
+#include "mutate.hh"
 #include "sim/simulator.hh"
 
 namespace
@@ -74,6 +77,34 @@ makeCheckpoint(const std::string &name, uint64_t insts = 12000)
     Simulator sim(params, std::vector<std::string>{"compress"});
     EXPECT_EQ(sim.ffwdExecuted(), insts);
     return path;
+}
+
+/** A small hand-built checkpoint: two processes, two short pages, a
+ *  few warm pages and warm lines. */
+CheckpointData
+smallCheckpoint()
+{
+    CheckpointData data;
+    data.ffwdTotal = 3000;
+    data.framesNext = 0x40000;
+    for (const char *name : {"compress", "racetest"}) {
+        CheckpointProc proc;
+        proc.wload = benchmarkParams(name);
+        proc.restore.asn = Asn(data.procs.size() + 1);
+        proc.restore.ptbr = 0x20000 * (data.procs.size() + 1);
+        proc.restore.vaLimit = 0x4004000;
+        proc.restore.mappedPages = 40;
+        proc.restore.entry = 0x10000;
+        proc.restore.resume.pc = 0x10040;
+        proc.restore.resume.intRegs[1] = 7;
+        proc.ffwdInsts = 1500;
+        proc.storeHash = 0x1234abcd;
+        data.procs.push_back(proc);
+    }
+    data.pages = {{2, {1, 2, 3, 0xff}}, {9, {0, 0, 0x80}}};
+    data.warmPages = {{1, 8}, {2, 4096}, {1, 9}};
+    data.warmLines = {{100, true, false, true}, {7, false, true, false}};
+    return data;
 }
 
 // ---------------------------------------------------------------------
@@ -317,6 +348,29 @@ TEST(Checkpoint, SaveLoadRoundTripsByteExactly)
     std::remove(copy.c_str());
 }
 
+TEST(Checkpoint, ExtremeValuesRoundTripExactly)
+{
+    // Every bit survives save -> load: an all-ones integer register, a
+    // NaN with a payload in an FP register (bits, never a double), and
+    // the largest store hash.
+    CheckpointData data = smallCheckpoint();
+    ArchState &arch = data.procs[0].restore.resume;
+    arch.intRegs[5] = ~uint64_t(0);
+    arch.fpRegs[3] = 0x7ff4000000000badULL;
+    data.procs[1].storeHash = ~uint64_t(0);
+
+    std::string path = tempPath("extreme.ckpt");
+    std::string error;
+    ASSERT_TRUE(saveCheckpoint(data, path, &error)) << error;
+    CheckpointData loaded;
+    ASSERT_TRUE(loadCheckpoint(path, &loaded, &error)) << error;
+    std::remove(path.c_str());
+
+    ASSERT_EQ(loaded.procs.size(), 2u);
+    expectSameState(loaded.procs[0].restore.resume, arch);
+    EXPECT_EQ(loaded.procs[1].storeHash, ~uint64_t(0));
+}
+
 // ---------------------------------------------------------------------
 // The headline invariant: restore == straight run, per mechanism.
 // ---------------------------------------------------------------------
@@ -326,14 +380,19 @@ TEST(Checkpoint, RestoreMatchesStraightRunEveryMechanism)
     const uint64_t ffwd = 20000;
     std::string path = makeCheckpoint("mech.ckpt", ffwd);
 
+    // The checkpoint holds warm state; a cold restore (ffwd.warm=0)
+    // must leave it unused, like the cold straight run it matches.
+    for (bool warm : {true, false})
     for (ExceptMech mech :
          {ExceptMech::PerfectTlb, ExceptMech::Traditional,
           ExceptMech::Multithreaded, ExceptMech::QuickStart,
           ExceptMech::Hardware}) {
+        SCOPED_TRACE(warm ? "ffwd.warm=1" : "ffwd.warm=0");
         SimParams run;
         run.maxInsts = 20000;
         run.warmupInsts = 2000;
         run.except.mech = mech;
+        run.ffwd.warm = warm;
 
         SimParams straightParams = run;
         straightParams.ffwd.insts = ffwd;
@@ -372,8 +431,59 @@ TEST(Checkpoint, RestoreMatchesStraightRunEveryMechanism)
     std::remove(path.c_str());
 }
 
+/**
+ * Restore == straight for an SMT mix under the multithreaded
+ * mechanism: the straight run saves its checkpoint at the fast-forward
+ * boundary and runs on, and the run restored from that file must print
+ * the same full statistics dump.
+ */
+void
+expectMixRestoreMatchesStraight(const std::vector<std::string> &benches,
+                                const std::string &name)
+{
+    const std::string path = tempPath(name);
+    SimParams run;
+    run.maxInsts = 30000;
+    run.warmupInsts = 3000;
+    run.except.mech = ExceptMech::Multithreaded;
+
+    SimParams straightParams = run;
+    straightParams.ffwd.insts = 30000;
+    straightParams.ffwd.save = path;
+    Simulator straight(straightParams, benches);
+    CoreResult rs = straight.run();
+    ASSERT_TRUE(rs.ok()) << rs.error;
+
+    SimParams restoreParams = run;
+    restoreParams.ffwd.restore = path;
+    Simulator restored(restoreParams, std::vector<WorkloadParams>{});
+    std::remove(path.c_str());
+    CoreResult rr = restored.run();
+    ASSERT_TRUE(rr.ok()) << rr.error;
+
+    std::ostringstream straightStats, restoredStats;
+    straight.dumpStats(straightStats);
+    restored.dumpStats(restoredStats);
+    EXPECT_EQ(restoredStats.str(), straightStats.str());
+    EXPECT_EQ(restored.numProcesses(), benches.size());
+}
+
+TEST(Checkpoint, RestoreMatchesStraightRunThreeAppMix)
+{
+    expectMixRestoreMatchesStraight({"applu", "compress", "hydro2d"},
+                                    "mix3.ckpt");
+}
+
+TEST(Checkpoint, RestoreMatchesStraightRunSharedMemoryPair)
+{
+    // racetest's shared region maps both processes onto the same
+    // frames; the restored page tables must share them again.
+    expectMixRestoreMatchesStraight({"racetest", "racetest"},
+                                    "race.ckpt");
+}
+
 // ---------------------------------------------------------------------
-// Damaged files: every failure mode names the file and the line.
+// Damaged files: every failure mode names the file.
 // ---------------------------------------------------------------------
 
 class CheckpointDamage : public ::testing::Test
@@ -411,13 +521,16 @@ class CheckpointDamage : public ::testing::Test
 TEST_F(CheckpointDamage, RejectsWrongHeader)
 {
     expectRejected("zmt-journal-v1\nnot a checkpoint\n",
-                   {"not a zmt-checkpoint-v1"});
+                   {"not a zmt-checkpoint-v2"});
+    // A file of the previous format is refused the same way.
+    expectRejected("zmt-checkpoint-v1" + content.substr(content.find('\n')),
+                   {path, "not a zmt-checkpoint-v2"});
 }
 
 TEST_F(CheckpointDamage, RejectsBitFlip)
 {
-    // Flip one character inside the meta record's payload (line 2):
-    // the checksum must catch it and name the line.
+    // Flip one character inside the record's payload (line 2): the
+    // checksum must catch it and name the line.
     size_t nl = content.find('\n');
     ASSERT_NE(nl, std::string::npos);
     size_t at = nl + 1 + 20; // past the 16-hex checksum + space
@@ -440,33 +553,31 @@ TEST_F(CheckpointDamage, RejectsMidFileTruncation)
 
 TEST_F(CheckpointDamage, RejectsMissingEndTrailer)
 {
-    // Drop the final line (the end trailer), keeping records intact.
+    // Drop the final line, which is the record: only the header is
+    // left.
     size_t lastNl = content.rfind('\n', content.size() - 2);
     ASSERT_NE(lastNl, std::string::npos);
     expectRejected(content.substr(0, lastNl + 1),
-                   {"missing end trailer"});
+                   {path, "truncated file"});
 }
 
 TEST_F(CheckpointDamage, RejectsDeletedRecord)
 {
-    // Remove one mid-file record: the end trailer's count no longer
-    // matches what was read.
-    size_t l1 = content.find('\n');
-    size_t l2 = content.find('\n', l1 + 1);
-    size_t l3 = content.find('\n', l2 + 1);
-    ASSERT_NE(l3, std::string::npos);
-    expectRejected(content.substr(0, l2 + 1) + content.substr(l3 + 1),
-                   {"end trailer expects"});
+    // Delete a span inside the record: the checksum no longer matches
+    // what was read.
+    size_t mid = content.find('\n') + content.size() / 2;
+    ASSERT_LT(mid + 40, content.size());
+    expectRejected(content.substr(0, mid) + content.substr(mid + 40),
+                   {"line 2", "checksum mismatch"});
 }
 
 TEST_F(CheckpointDamage, RejectsRecordAfterEndTrailer)
 {
-    // Append a (perfectly valid) copy of the meta record after the
-    // end trailer.
-    size_t l1 = content.find('\n');
-    size_t l2 = content.find('\n', l1 + 1);
-    std::string metaLine = content.substr(l1 + 1, l2 - l1);
-    expectRejected(content + metaLine, {"record after end trailer"});
+    // Append a (perfectly valid) copy of the record line: nothing may
+    // follow the record.
+    std::string recordLine = content.substr(content.find('\n') + 1);
+    expectRejected(content + recordLine,
+                   {"line 3", "data after the record"});
 }
 
 TEST(Checkpoint, MissingFileIsAnError)
@@ -476,6 +587,37 @@ TEST(Checkpoint, MissingFileIsAnError)
     EXPECT_FALSE(loadCheckpoint(tempPath("never_written.ckpt"), &data,
                                 &error));
     EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+TEST(CheckpointFuzz, LoaderSurvivesTruncationAndByteFlips)
+{
+    const std::string path = tempPath("fuzz.ckpt");
+    std::string error;
+    ASSERT_TRUE(saveCheckpoint(smallCheckpoint(), path, &error)) << error;
+    size_t accepted = 0;
+    mutateAll(readFile(path), 4, 3000, [&](const std::string &text) {
+        // As damaged, and with the record's checksum recomputed so that
+        // the mutated JSON reaches the record decoder.
+        std::string resealed = text;
+        size_t begin = text.find('\n');
+        if (begin != std::string::npos) {
+            ++begin;
+            size_t end = std::min(text.find('\n', begin), text.size());
+            if (end - begin > 17)
+                resealed = text.substr(0, begin) +
+                           sealRecord(text.substr(begin + 17,
+                                                  end - begin - 17)) +
+                           text.substr(end);
+        }
+        for (const std::string &damaged : {text, resealed}) {
+            writeFile(path, damaged);
+            CheckpointData data;
+            accepted += loadCheckpoint(path, &data, &error);
+        }
+    });
+    std::remove(path.c_str());
+    // Most mutants are rejected, and some (a flipped digit) are not.
+    EXPECT_GT(accepted, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "kernel/funcmachine.hh"
+#include "sim/jsonfields.hh"
 #include "wload/workload.hh"
 
 namespace
@@ -171,41 +173,50 @@ TEST(Workload, PresetCharactersMatchThePaper)
 
 TEST(Workload, CanonicalKeyRoundTrips)
 {
+    // A checkpoint carries each workload as the JSON object of its
+    // field list; reading one back must reproduce the key exactly.
+    auto json = [](const WorkloadParams &wp) {
+        std::ostringstream os;
+        writeJsonObject(os, wp);
+        return os.str();
+    };
     std::vector<std::string> names = benchmarkNames();
     names.push_back("racetest");
     for (const auto &name : names) {
-        const std::string key = canonicalKey(benchmarkParams(name));
+        const WorkloadParams wp = benchmarkParams(name);
         WorkloadParams parsed;
-        std::string why;
-        ASSERT_TRUE(parseWorkloadKey(key, &parsed, &why))
-            << name << ": " << why;
-        EXPECT_EQ(canonicalKey(parsed), key) << name;
+        ASSERT_TRUE(parseJsonObject(json(wp), &parsed)) << name;
+        EXPECT_EQ(canonicalKey(parsed), canonicalKey(wp)) << name;
     }
 
-    const std::string key = canonicalKey(benchmarkParams("compress"));
+    const std::string text = json(benchmarkParams("compress"));
     auto edited = [&](const std::string &from, const std::string &to) {
-        std::string text = key;
-        size_t at = text.find(from);
+        std::string doc = text;
+        size_t at = doc.find(from);
         EXPECT_NE(at, std::string::npos) << from;
-        return at == std::string::npos ? text
-                                       : text.replace(at, from.size(), to);
+        return at == std::string::npos ? doc
+                                       : doc.replace(at, from.size(), to);
     };
-    auto rejects = [](const std::string &text, const std::string &reason) {
+    auto withValue = [&](const std::string &member,
+                         const std::string &value) {
+        const std::string key = "\"" + member + "\":";
+        size_t begin = text.find(key);
+        EXPECT_NE(begin, std::string::npos) << member;
+        if (begin == std::string::npos)
+            return text;
+        begin += key.size();
+        size_t end = text.find_first_of(",}", begin);
+        return text.substr(0, begin) + value + text.substr(end);
+    };
+    auto rejects = [](const std::string &doc) {
         WorkloadParams parsed;
-        std::string why;
-        EXPECT_FALSE(parseWorkloadKey(text, &parsed, &why)) << text;
-        EXPECT_NE(why.find(reason), std::string::npos) << why;
+        EXPECT_FALSE(parseJsonObject(doc, &parsed)) << doc;
     };
-    rejects(edited("fsqrtOps=0;", ""), "expected workload field 'fsqrtOps'");
-    rejects(edited("fsqrtOps=0;", "fsqrtOps=0;bogus=1;"),
-            "expected workload field 'serialMuls'");
-    rejects(key + "bogus=1;", "unknown workload field 'bogus=1;'");
-    rejects(key.substr(0, key.size() - 1), "not ';'-terminated");
-    rejects(edited("innerIters=8;", "innerIters=4294967296;"), "malformed");
-    rejects(edited("innerIters=8;", "innerIters=-8;"), "malformed");
-    rejects(edited("seed=", "seed=-"), "malformed");
-    rejects(edited("seed=", "seed=18446744073709551616"), "malformed");
-    rejects(edited("useFpDiv=0;", "useFpDiv=2;"), "malformed");
+    rejects(edited("\"fsqrtOps\":0,", ""));
+    rejects(withValue("innerIters", "4294967296"));
+    rejects(withValue("innerIters", "-8"));
+    rejects(withValue("seed", "18446744073709551616"));
+    rejects(withValue("useFpDiv", "2"));
 }
 
 TEST(Workload, ValidationRejectsBadParams)

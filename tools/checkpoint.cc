@@ -7,7 +7,7 @@
  *   checkpoint info FILE
  *
  * `create` fast-forwards the named benchmarks functionally (recording
- * warm TLB/cache state) and writes a zmt-checkpoint-v1 file at the
+ * warm TLB/cache state) and writes a zmt-checkpoint-v2 file at the
  * boundary. `info` validates the file and prints its contents without
  * simulating anything. To resume detailed simulation from a
  * checkpoint, run `zmt_sim ffwd.restore=FILE [key=value ...]`.
@@ -101,10 +101,10 @@ cmdInfo(int argc, char **argv)
     }
 
     size_t page_bytes = 0;
-    for (const auto &[ppn, bytes] : data.pages)
-        page_bytes += bytes.size();
+    for (const CheckpointPage &page : data.pages)
+        page_bytes += page.bytes.size();
 
-    std::printf("%s: zmt-checkpoint-v1\n", path.c_str());
+    std::printf("%s: zmt-checkpoint-v2\n", path.c_str());
     std::printf("ffwdTotal    %llu\n", (unsigned long long)data.ffwdTotal);
     std::printf("framesNext   0x%llx\n",
                 (unsigned long long)data.framesNext);
@@ -117,8 +117,8 @@ cmdInfo(int argc, char **argv)
         const CheckpointProc &p = data.procs[i];
         std::printf("  proc %zu: %s asn=%u pc=0x%llx ffwd=%llu "
                     "shash=%s%s\n",
-                    i, p.wload.name.c_str(), unsigned(p.asn),
-                    (unsigned long long)p.arch.pc,
+                    i, p.wload.name.c_str(), unsigned(p.restore.asn),
+                    (unsigned long long)p.restore.resume.pc,
                     (unsigned long long)p.ffwdInsts,
                     hex64(p.storeHash).c_str(),
                     p.halted ? " (halted)" : "");
