@@ -100,15 +100,8 @@ attribSummary()
 
     for (const auto &config : configs) {
         obs::AttribSummary sum;
-        for (const auto &bench : benchmarkNames()) {
-            const obs::AttribSummary &a =
-                cellResult(configParams(config), {bench}).mech.attrib;
-            sum.completed += a.completed;
-            sum.aborted += a.aborted;
-            sum.spanCycles += a.spanCycles;
-            for (unsigned c = 0; c < obs::NumAttribCats; ++c)
-                sum.cycles[c] += a.cycles[c];
-        }
+        for (const auto &bench : benchmarkNames())
+            sum += cellResult(configParams(config), {bench}).mech.attrib;
         std::vector<std::string> row{config.label,
                                      std::to_string(sum.completed)};
         for (unsigned c = 0; c < obs::NumAttribCats; ++c)

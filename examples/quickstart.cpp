@@ -8,17 +8,17 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace zmt;
 
-    uint64_t max_insts = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                  : 300'000;
+    uint64_t max_insts =
+        argc > 1 ? parseUnsigned("maxInsts", argv[1]) : 300'000;
 
     SimParams params;
     params.maxInsts = max_insts;

@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -36,7 +36,7 @@ main(int argc, char **argv)
 {
     std::string bench = argc > 1 ? argv[1] : "compress";
     uint64_t max_insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 500'000;
+        argc > 2 ? parseUnsigned("maxInsts", argv[2]) : 500'000;
 
     SimParams params;
     params.maxInsts = max_insts;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "common/decimal.hh"
 #include "common/logging.hh"
 
 namespace zmt
@@ -114,7 +115,6 @@ visitFields(Params &p, Visitor &&v)
     v("core.fpAddCount", p.core.fpAddCount);
     v("core.fpDivCount", p.core.fpDivCount);
     v("core.lsPortCount", p.core.lsPortCount);
-    v("core.idleSkip", p.core.idleSkip);
 
     v("mem.l1iSizeKb", p.mem.l1iSizeKb);
     v("mem.l1iAssoc", p.mem.l1iAssoc);
@@ -208,23 +208,14 @@ visitFields(Params &p, Visitor &&v)
     v("watchdogCycles", p.watchdogCycles);
 }
 
-/** A non-negative integer no larger than @p max, in any stoull base. */
+/** A decimal integer no larger than @p max (common/decimal.hh). */
 uint64_t
 parseU64(const std::string &key, const std::string &value, uint64_t max)
 {
-    size_t pos = 0;
-    uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos, 0);
-    } catch (const std::exception &) {
-        pos = 0;
-    }
-    // stoull wraps a negative value instead of rejecting it.
-    fatal_if(pos == 0 || v > max || value.find('-') != std::string::npos,
-             "bad numeric value for %s: '%s'", key.c_str(), value.c_str());
-    fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
-             key.c_str(), value.c_str());
-    return v;
+    std::optional<uint64_t> v = parseDecimal(value, max);
+    fatal_if(!v, "bad numeric value for %s: '%s'", key.c_str(),
+             value.c_str());
+    return *v;
 }
 
 unsigned

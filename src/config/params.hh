@@ -48,16 +48,6 @@ struct CoreParams
     unsigned lsPortCount = 3;    //!< load/store ports
 
     /**
-     * Simulator-speed (not modeled-hardware) knob: fast-forward cycles
-     * in which no pipeline stage can make progress, charging their
-     * per-cycle statistics in bulk. Architecturally invisible — every
-     * stat is bit-identical with it on or off (the golden-run tests
-     * enforce this); off when a fault injector is active, since
-     * injectors act on arbitrary cycles.
-     */
-    bool idleSkip = true;
-
-    /**
      * Stages between fetch and execute (the minimum branch mispredict
      * penalty). Table 1: 3 fetch + 1 decode + 1 schedule + 2 register
      * read = nominal 7.
@@ -225,8 +215,8 @@ struct VerifyParams
     bool
     anyInjection() const
     {
-        // panicAtCycle counts as an injection so idle-skip stays off
-        // (the panic must fire at its exact configured cycle).
+        // panicAtCycle counts as an injection: a run armed with it is
+        // a fault-injection drill, and its summary says so.
         return badPteProb > 0.0 || stealIdleProb > 0.0 ||
                forceSecondaryMissProb > 0.0 ||
                (squeezePeriod > 0 && squeezeDuration > 0) ||

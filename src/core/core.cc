@@ -336,153 +336,6 @@ SmtCore::tick()
     numCycles = double(curCycle);
 }
 
-Cycle
-SmtCore::quiescentUntil(Cycle limit)
-{
-    // A cycle is quiescent when no pipeline stage can make progress or
-    // mutate state beyond the per-cycle bookkeeping that skipCycles()
-    // replicates. Returning curCycle means "tick now, no skip". Every
-    // condition below mirrors a stage's gating logic exactly; anything
-    // uncertain conservatively refuses to skip, which costs speed, not
-    // correctness.
-
-    // Hardware page walks progress on their own clock; don't model it.
-    if (params.except.mech == ExceptMech::Hardware && walker->anyInFlight())
-        return curCycle;
-
-    // Completion: an event due now means work this tick.
-    if (completionQueue.nextAt() <= curCycle)
-        return curCycle;
-    Cycle next_event = completionQueue.nextAt();
-
-    // Invariant audits observe (and count) state per boundary; never
-    // skip across one. Next boundary: smallest multiple >= curCycle.
-    if (checker) {
-        Cycle period = Cycle(params.verify.invariantPeriod);
-        Cycle next_audit = ((curCycle + period - 1) / period) * period;
-        if (next_audit <= curCycle)
-            return curCycle;
-        next_event = std::min(next_event, next_audit);
-    }
-
-    // Retirement: per-thread in-order heads.
-    for (const auto &ctx_ptr : contexts) {
-        ThreadCtx &ctx = *ctx_ptr;
-        if (ctx.inflight.empty())
-            continue;
-        const InstPtr &head = ctx.inflight.front();
-        bool blocked = false;
-        if (ctx.isHandler()) {
-            ExcRecord *record = recordForHandler(ctx.id);
-            if (!record)
-                return curCycle; // doRetire panics; let it
-            blocked =
-                !params.verify.mutateSpliceBug && !record->spliceOpen;
-        } else if (ctx.isApp()) {
-            for (const auto &record : records) {
-                if (record.master == ctx.id && record.faultInst &&
-                    record.faultInst->seq == head->seq) {
-                    // retireBlocked() would open the splice: a
-                    // mutation, so the tick must run. (Right after a
-                    // tick it is already open, making this skippable.)
-                    if (!record.spliceOpen)
-                        return curCycle;
-                    blocked = true;
-                    break;
-                }
-            }
-        }
-        if (!blocked && head->status == InstStatus::Done)
-            return curCycle; // would retire
-    }
-
-    // Issue: any dispatched instruction that could go this cycle or on
-    // a later cycle purely by aging (dependence/serialization stalls
-    // resolve via completion events, which are already covered).
-    for (const InstPtr &inst : readyList) {
-        if (inst->status != InstStatus::InWindow)
-            continue;
-        Cycle ready_at = inst->windowAt + params.core.schedDepth +
-                         params.core.regReadDepth;
-        if (curCycle < ready_at) {
-            next_event = std::min(next_event, ready_at);
-            continue;
-        }
-        if (inst->isSerializing() && !oldestUnfinished(*inst))
-            continue;
-        return curCycle; // would issue
-    }
-
-    // Dispatch: a decode-ready head either enters the window (work) or
-    // counts a blocked cycle — bookkeeping skipCycles replicates —
-    // except that a blocked *handler* may eventually fire the
-    // deadlock-avoidance squash, which must happen in a real tick.
-    for (const auto &ctx_ptr : contexts) {
-        ThreadCtx &ctx = *ctx_ptr;
-        if (ctx.fetchBuf.empty())
-            continue;
-        const InstPtr &head = ctx.fetchBuf.front();
-        Cycle decode_ready = head->fetchDoneAt + params.core.decodeDepth;
-        if (decode_ready > curCycle) {
-            next_event = std::min(next_event, decode_ready);
-            continue;
-        }
-        if (windowHasRoomFor(ctx, *head))
-            return curCycle; // would dispatch
-        if (ctx.isHandler() && params.except.deadlockSquash) {
-            // Fire condition at a tick T (counter incremented first):
-            // blockedCycles + (T - curCycle) + 1 >= 2 and
-            // T - lastRetireCycle >= stall_limit.
-            Cycle stall_limit =
-                numApps == 1 ? 4 : params.mem.memLatency + 70;
-            Cycle fire_at = std::max(
-                ctx.dispatchBlockedCycles >= 1 ? curCycle : curCycle + 1,
-                lastRetireCycle + stall_limit);
-            next_event = std::min(next_event, fire_at);
-            if (fire_at <= curCycle)
-                return curCycle;
-        }
-    }
-
-    // Fetch: canFetch() means at least one instruction enters the pipe.
-    for (const auto &ctx_ptr : contexts)
-        if (canFetch(*ctx_ptr))
-            return curCycle;
-
-    return std::min(next_event, limit);
-}
-
-void
-SmtCore::skipCycles(Cycle count)
-{
-    if (count == 0)
-        return;
-
-    // Batch exactly the bookkeeping `count` quiescent ticks would do.
-    bool handler_active = false;
-    for (const auto &ctx : contexts)
-        handler_active = handler_active || ctx->isHandler();
-    if (handler_active)
-        handlerActiveCycles += double(count);
-    windowOccupancy.sample(double(windowCount), count);
-    issuedPerCycle.sample(0.0, count);
-
-    // Blocked dispatchers keep counting (quiescence means the blocking
-    // conditions cannot change in between).
-    for (const auto &ctx_ptr : contexts) {
-        ThreadCtx &ctx = *ctx_ptr;
-        if (ctx.fetchBuf.empty())
-            continue;
-        const InstPtr &head = ctx.fetchBuf.front();
-        if (head->fetchDoneAt + params.core.decodeDepth <= curCycle &&
-            !windowHasRoomFor(ctx, *head))
-            ctx.dispatchBlockedCycles += unsigned(count);
-    }
-
-    curCycle += count;
-    numCycles = double(curCycle);
-}
-
 CoreResult
 SmtCore::run()
 {
@@ -555,21 +408,12 @@ SmtCore::run()
         return true;
     };
 
-    // Idle-skip (simulator speed only): between ticks, fast-forward
-    // runs of cycles in which no stage can make progress. Off when a
-    // fault injector is active — injections key on absolute cycles —
-    // and when a helper service runs, since services do per-cycle work
-    // (borrow upkeep, probe issue) that quiescence cannot model.
-    const bool idle_skip = params.core.idleSkip && !injector &&
-                           !helpers->anyServiceEnabled();
-
     while (!all_reached(quota)) {
         tick();
         // Crash injection (campaign-layer testing): a hard process
         // death, deliberately not a structured return — the point is
-        // to exercise containment, not graceful degradation. >= so the
-        // panic cannot be stepped over; anyInjection() disables
-        // idle-skip, so it fires at exactly the configured cycle.
+        // to exercise containment, not graceful degradation. Every
+        // cycle ticks, so it fires at exactly the configured cycle.
         if (params.verify.panicAtCycle &&
             curCycle >= params.verify.panicAtCycle) {
             panic("verify: injected panic at cycle %llu [%s]",
@@ -581,14 +425,6 @@ SmtCore::run()
             warm = true;
             warmup_cycles = curCycle;
             warmup_misses = uint64_t(tlbMisses.value());
-        }
-        if (idle_skip && curCycle <= cycle_cap) {
-            // Cap at cycle_cap so a true deadlock still ticks at the
-            // cap and trips the watchdog with the exact same cycle
-            // count as an unskipped run.
-            Cycle target = quiescentUntil(cycle_cap);
-            if (target > curCycle)
-                skipCycles(target - curCycle);
         }
         if (curCycle > cycle_cap) {
             dumpState(std::cerr);

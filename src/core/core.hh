@@ -330,18 +330,6 @@ class SmtCore : public stats::StatGroup
     Addr fakePa(Asn asn, Addr va) const;
     void insertIntoReadyList(const InstPtr &inst);
 
-    // --- Idle-skip scheduling (see DESIGN.md Section 11) -----------------
-    /**
-     * First cycle at which a real tick() could do or observe anything,
-     * assuming every cycle in between is quiescent; returns curCycle
-     * (no skip) when the upcoming tick itself has work. Never exceeds
-     * @p limit.
-     */
-    Cycle quiescentUntil(Cycle limit);
-    /** Fast-forward @p count quiescent cycles, batching the per-cycle
-     *  bookkeeping those ticks would have done (bit-identical stats). */
-    void skipCycles(Cycle count);
-
     // --- Completion helpers ---------------------------------------------------
     void completeInst(const InstPtr &inst);
     void resolveBranch(const InstPtr &inst);

@@ -69,6 +69,19 @@ struct AttribSummary
     /** The by-construction identity: categories partition the spans. */
     bool consistent() const { return categorySum() == spanCycles; }
 
+    /** Add another run's handlings (a sampled run's probes, a table's
+     *  benchmarks). */
+    AttribSummary &
+    operator+=(const AttribSummary &other)
+    {
+        completed += other.completed;
+        aborted += other.aborted;
+        spanCycles += other.spanCycles;
+        for (size_t c = 0; c < cycles.size(); ++c)
+            cycles[c] += other.cycles[c];
+        return *this;
+    }
+
     double
     perHandling(AttribCat cat) const
     {

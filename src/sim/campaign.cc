@@ -71,26 +71,22 @@ parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts)
         } else if (takeValue(i, arg, "--timeout", &value)) {
             opts.timeoutSeconds = parsePositiveDouble("--timeout", value);
         } else if (takeValue(i, arg, "--retries", &value)) {
-            opts.retries = unsigned(parseUnsigned("--retries", value));
+            opts.retries = parseUnsigned<unsigned>("--retries", value);
         } else if (takeValue(i, arg, "--backoff", &value)) {
             opts.backoffSeconds = parsePositiveDouble("--backoff", value);
         } else if (takeValue(i, arg, "--shard", &value)) {
-            char *end = nullptr;
-            unsigned long index = std::strtoul(value, &end, 10);
-            bool ok = end != value && *end == '/';
-            if (ok) {
-                const char *countText = end + 1;
-                unsigned long count =
-                    std::strtoul(countText, &end, 10);
-                ok = end != countText && *end == '\0' && count >= 1 &&
-                     index < count;
-                if (ok) {
-                    opts.shardIndex = unsigned(index);
-                    opts.shardCount = unsigned(count);
-                }
+            std::string_view text = value;
+            size_t slash = text.find('/');
+            const uint64_t max = std::numeric_limits<unsigned>::max();
+            std::optional<uint64_t> index, count;
+            if (slash != std::string_view::npos) {
+                index = parseDecimal(text.substr(0, slash), max);
+                count = parseDecimal(text.substr(slash + 1), max);
             }
-            fatal_if(!ok, "bad --shard value '%s' (want I/N with I < N)",
-                     value);
+            fatal_if(!index || !count || *index >= *count,
+                     "bad --shard value '%s' (want I/N with I < N)", value);
+            opts.shardIndex = unsigned(*index);
+            opts.shardCount = unsigned(*count);
         } else if (takeValue(i, arg, "--journal", &value)) {
             opts.journalPath = value;
         } else if (takeValue(i, arg, "--resume", &value)) {

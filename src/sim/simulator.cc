@@ -140,7 +140,7 @@ Simulator::build(const SimParams &params,
     procHalted.assign(procs.size(), false);
 
     if (params.ffwd.insts > 0)
-        fastForward(params);
+        fastForward();
 
     finishBuild(params);
 }
@@ -206,20 +206,25 @@ Simulator::finishBuild(const SimParams &params)
 }
 
 void
-Simulator::fastForward(const SimParams &params)
+Simulator::initFastForward()
 {
     if (!sbCache)
         sbCache = std::make_unique<SuperblockCache>();
-    if (params.ffwd.warm && !wtrace) {
+    if (simParams.ffwd.warm && !wtrace) {
         // Caps sized to what the detailed structures can hold: the
         // DTLB's entry count, and the L2's worth of line grains (the
         // largest structure a grain can warm).
         wtrace = std::make_unique<WarmTrace>(
-            params.tlb.dtlbEntries,
-            size_t(params.mem.l2SizeKb) * 1024 / WarmGrainBytes);
+            simParams.tlb.dtlbEntries,
+            size_t(simParams.mem.l2SizeKb) * 1024 / WarmGrainBytes);
     }
+}
 
-    uint64_t share = params.ffwd.insts / procs.size();
+void
+Simulator::fastForward()
+{
+    initFastForward();
+    uint64_t share = simParams.ffwd.insts / procs.size();
     for (size_t i = 0; i < procs.size(); ++i) {
         FuncMachine machine(*procs[i], physMem);
         if (wtrace)
@@ -238,9 +243,9 @@ Simulator::fastForward(const SimParams &params)
         wtrace->exportState(warmPages, warmLines);
     }
 
-    if (!params.ffwd.save.empty()) {
+    if (!simParams.ffwd.save.empty()) {
         std::string err;
-        fatal_if(!saveCheckpoint(captureCheckpoint(), params.ffwd.save,
+        fatal_if(!saveCheckpoint(captureCheckpoint(), simParams.ffwd.save,
                                  &err),
                  "%s", err.c_str());
     }
@@ -321,12 +326,7 @@ Simulator::runSampled()
     probe.maxInsts = probeInsts;
     probe.warmupInsts = sp.warmupInsts;
 
-    if (!sbCache)
-        sbCache = std::make_unique<SuperblockCache>();
-    if (simParams.ffwd.warm && !wtrace)
-        wtrace = std::make_unique<WarmTrace>(
-            simParams.tlb.dtlbEntries,
-            size_t(simParams.mem.l2SizeKb) * 1024 / WarmGrainBytes);
+    initFastForward();
 
     // Persistent functional machines carry the master timeline; the
     // detailed probes run on checkpoint copies and never advance it.
@@ -368,11 +368,7 @@ Simulator::runSampled()
         agg.measuredCycles += r.measuredCycles;
         agg.measuredInsts += r.measuredInsts;
         agg.measuredMisses += r.measuredMisses;
-        agg.attrib.completed += r.attrib.completed;
-        agg.attrib.aborted += r.attrib.aborted;
-        agg.attrib.spanCycles += r.attrib.spanCycles;
-        for (size_t c = 0; c < agg.attrib.cycles.size(); ++c)
-            agg.attrib.cycles[c] += r.attrib.cycles[c];
+        agg.attrib += r.attrib;
 
         ++agg.sampling.samples;
         if (!r.warmedUp || r.measuredInsts == 0) {

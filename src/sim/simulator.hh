@@ -92,8 +92,12 @@ class Simulator
      *  crash-flush hook. */
     void finishBuild(const SimParams &params);
 
+    /** Create the superblock cache and, under ffwd.warm, the warm
+     *  trace with its caps (shared by fastForward and runSampled). */
+    void initFastForward();
+
     /** Build-time functional fast-forward (ffwd.insts / ffwd.save). */
-    void fastForward(const SimParams &params);
+    void fastForward();
 
     /** The SMARTS sampling loop (run() dispatches here when
      *  sample.periodInsts > 0). */

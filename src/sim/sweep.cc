@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <thread>
@@ -66,27 +63,15 @@ parseJobsFlag(int &argc, char **argv, unsigned fallback)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--jobs=", 7) == 0)
-            jobs = unsigned(parseUnsigned("--jobs", arg + 7));
+            jobs = parseUnsigned<unsigned>("--jobs", arg + 7);
         else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc)
-            jobs = unsigned(parseUnsigned("--jobs", argv[++i]));
+            jobs = parseUnsigned<unsigned>("--jobs", argv[++i]);
         else
             argv[out++] = argv[i];
     }
     argv[out] = nullptr;
     argc = out;
     return jobs;
-}
-
-uint64_t
-parseUnsigned(const char *flag, const char *value)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    fatal_if(!std::isdigit(static_cast<unsigned char>(value[0])) ||
-                 *end != '\0' || errno == ERANGE,
-             "bad %s value '%s'", flag, value);
-    return v;
 }
 
 // The field lists of a results cell's "mech"/"perfect" objects. They

@@ -25,9 +25,12 @@
 
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/decimal.hh"
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 
 namespace zmt
@@ -106,11 +109,20 @@ class SweepRunner
 unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
 
 /**
- * The value of numeric flag @p flag: decimal digits only. A sign, a
- * suffix, an empty value or overflow is fatal, naming the flag, so a
- * typo never runs as some other number.
+ * The value of numeric flag @p flag as a @p T: decimal digits only
+ * (common/decimal.hh). A sign, a suffix, another base, an empty value
+ * or a value @p T cannot hold is fatal, naming the flag, so a typo
+ * never runs as some other number.
  */
-uint64_t parseUnsigned(const char *flag, const char *value);
+template <typename T = uint64_t>
+T
+parseUnsigned(const char *flag, const char *value)
+{
+    std::optional<uint64_t> v =
+        parseDecimal(value, std::numeric_limits<T>::max());
+    fatal_if(!v, "bad %s value '%s'", flag, value);
+    return T(*v);
+}
 
 /**
  * Emit one result cell, an element of the "cells" array of the

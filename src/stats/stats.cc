@@ -41,28 +41,13 @@ StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
 }
 
 void
-Scalar::print(std::ostream &os, const std::string &prefix) const
-{
-    printRow(os, prefix + name(), _value, desc());
-}
-
-void
-Scalar::csvRows(std::vector<std::pair<std::string, double>> &rows,
-                const std::string &prefix) const
+Scalar::appendRows(std::vector<Row> &rows, const std::string &prefix) const
 {
     rows.emplace_back(prefix + name(), _value);
 }
 
 void
-Average::print(std::ostream &os, const std::string &prefix) const
-{
-    printRow(os, prefix + name() + "::mean", mean(), desc());
-    printRow(os, prefix + name() + "::samples", double(count), "");
-}
-
-void
-Average::csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const
+Average::appendRows(std::vector<Row> &rows, const std::string &prefix) const
 {
     rows.emplace_back(prefix + name() + "::mean", mean());
     rows.emplace_back(prefix + name() + "::samples", double(count));
@@ -105,57 +90,10 @@ Distribution::sample(double v)
 }
 
 void
-Distribution::sample(double v, uint64_t n)
+Distribution::appendRows(std::vector<Row> &rows,
+                         const std::string &prefix) const
 {
-    if (n == 0)
-        return;
-    if (count == 0) {
-        minSeen = maxSeen = v;
-    } else {
-        minSeen = std::min(minSeen, v);
-        maxSeen = std::max(maxSeen, v);
-    }
-    count += n;
-    sum += v * double(n);
-
-    if (v < lo) {
-        underflow += n;
-    } else if (v >= hi) {
-        overflow += n;
-    } else {
-        auto idx = unsigned((v - lo) / bucketWidth);
-        if (idx >= buckets.size())
-            idx = unsigned(buckets.size()) - 1;
-        buckets[idx] += n;
-    }
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    const std::string base = prefix + name();
-    printRow(os, base + "::samples", double(count), desc());
-    printRow(os, base + "::mean", mean(), "");
-    printRow(os, base + "::min", minSeen, "");
-    printRow(os, base + "::max", maxSeen, "");
-    printRow(os, base + "::underflows", double(underflow), "");
-    for (unsigned i = 0; i < buckets.size(); ++i) {
-        if (buckets[i] == 0)
-            continue;
-        double b_lo = lo + i * bucketWidth;
-        printRow(os, base + "::[" + std::to_string(long(b_lo)) + "]",
-                 double(buckets[i]), "");
-    }
-    printRow(os, base + "::overflows", double(overflow), "");
-}
-
-void
-Distribution::csvRows(std::vector<std::pair<std::string, double>> &rows,
-                      const std::string &prefix) const
-{
-    // Full parity with print(): CSV/JSON consumers see the same
-    // histogram a text dump shows — min/max, out-of-range counts and
-    // every non-empty bucket, under the same row names.
+    // Empty buckets are omitted; the range counters always print.
     const std::string base = prefix + name();
     rows.emplace_back(base + "::samples", double(count));
     rows.emplace_back(base + "::mean", mean());
@@ -182,14 +120,7 @@ Distribution::reset()
 }
 
 void
-Formula::print(std::ostream &os, const std::string &prefix) const
-{
-    printRow(os, prefix + name(), value(), desc());
-}
-
-void
-Formula::csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const
+Formula::appendRows(std::vector<Row> &rows, const std::string &prefix) const
 {
     rows.emplace_back(prefix + name(), value());
 }
@@ -231,8 +162,14 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
     const std::string my_prefix =
         _name.empty() ? prefix : prefix + _name + ".";
-    for (const auto *stat : stats)
-        stat->print(os, my_prefix);
+    std::vector<Row> rows;
+    for (const auto *stat : stats) {
+        rows.clear();
+        stat->appendRows(rows, my_prefix);
+        for (size_t i = 0; i < rows.size(); ++i)
+            printRow(os, rows[i].first, rows[i].second,
+                     i == 0 ? stat->desc() : std::string());
+    }
     for (const auto *child : children)
         child->dump(os, my_prefix);
 }
@@ -240,20 +177,19 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
 void
 StatGroup::dumpCsv(std::ostream &os, const std::string &prefix) const
 {
-    std::vector<std::pair<std::string, double>> rows;
+    std::vector<Row> rows;
     collect(rows, prefix);
     for (const auto &[name, value] : rows)
         os << name << "," << value << "\n";
 }
 
 void
-StatGroup::collect(std::vector<std::pair<std::string, double>> &rows,
-                   const std::string &prefix) const
+StatGroup::collect(std::vector<Row> &rows, const std::string &prefix) const
 {
     const std::string my_prefix =
         _name.empty() ? prefix : prefix + _name + ".";
     for (const auto *stat : stats)
-        stat->csvRows(rows, my_prefix);
+        stat->appendRows(rows, my_prefix);
     for (const auto *child : children)
         child->collect(rows, my_prefix);
 }

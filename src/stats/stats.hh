@@ -26,6 +26,9 @@ namespace zmt::stats
 
 class StatGroup;
 
+/** One (name, value) output row; text and CSV dumps both format these. */
+using Row = std::pair<std::string, double>;
+
 /** Base class for all statistics. */
 class StatBase
 {
@@ -39,13 +42,13 @@ class StatBase
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Render this stat's value lines into the stream. */
-    virtual void print(std::ostream &os, const std::string &prefix) const = 0;
-
-    /** Append (name,value) pairs for CSV output. */
-    virtual void
-    csvRows(std::vector<std::pair<std::string, double>> &rows,
-            const std::string &prefix) const = 0;
+    /**
+     * Append this stat's rows, names prefixed by @p prefix. The one
+     * emitter: the text dump prints these rows (the description on the
+     * first), CSV and collect() copy them.
+     */
+    virtual void appendRows(std::vector<Row> &rows,
+                            const std::string &prefix) const = 0;
 
     /** Reset to the freshly constructed state. */
     virtual void reset() = 0;
@@ -69,9 +72,8 @@ class Scalar : public StatBase
 
     double value() const { return _value; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const override;
+    void appendRows(std::vector<Row> &rows,
+                    const std::string &prefix) const override;
     void reset() override { _value = 0.0; }
 
   private:
@@ -93,25 +95,11 @@ class Average : public StatBase
         ++count;
     }
 
-    /**
-     * Record @p v as @p n identical samples. Bit-identical to n calls
-     * of sample(v) when v is integer-valued and the sum stays below
-     * 2^53 (every repeated add is then exact) — which holds for the
-     * per-cycle pipeline stats this exists for (idle-skip batching).
-     */
-    void
-    sample(double v, uint64_t n)
-    {
-        sum += v * double(n);
-        count += n;
-    }
-
     double mean() const { return count ? sum / double(count) : 0.0; }
     uint64_t samples() const { return count; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const override;
+    void appendRows(std::vector<Row> &rows,
+                    const std::string &prefix) const override;
     void reset() override { sum = 0.0; count = 0; }
 
   private:
@@ -128,10 +116,6 @@ class Distribution : public StatBase
 
     void sample(double v);
 
-    /** Record @p v as @p n identical samples (same exactness caveat as
-     *  Average::sample(v, n): integer-valued v, sum below 2^53). */
-    void sample(double v, uint64_t n);
-
     uint64_t samples() const { return count; }
     double mean() const { return count ? sum / double(count) : 0.0; }
     /** Smallest/largest sampled value; NaN before the first sample
@@ -143,9 +127,8 @@ class Distribution : public StatBase
     uint64_t overflows() const { return overflow; }
     unsigned numBuckets() const { return unsigned(buckets.size()); }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const override;
+    void appendRows(std::vector<Row> &rows,
+                    const std::string &prefix) const override;
     void reset() override;
 
   private:
@@ -173,9 +156,8 @@ class Formula : public StatBase
 
     double value() const { return func ? func() : 0.0; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void csvRows(std::vector<std::pair<std::string, double>> &rows,
-                 const std::string &prefix) const override;
+    void appendRows(std::vector<Row> &rows,
+                    const std::string &prefix) const override;
     void reset() override {}
 
   private:
@@ -210,7 +192,7 @@ class StatGroup
     void dumpCsv(std::ostream &os, const std::string &prefix = "") const;
 
     /** Collect flat (name,value) rows. */
-    void collect(std::vector<std::pair<std::string, double>> &rows,
+    void collect(std::vector<Row> &rows,
                  const std::string &prefix = "") const;
 
     /** Find a stat by dotted path relative to this group, or nullptr. */

@@ -164,14 +164,19 @@ TEST(CampaignFlags, DefaultsAreInactive)
 
 TEST(CampaignFlagsDeathTest, RejectsMalformedShard)
 {
-    const char *raw[] = {"bench", "--shard", "3/3", nullptr};
-    char *argv[4];
-    int argc = 3;
-    for (int i = 0; i < argc; ++i)
-        argv[i] = const_cast<char *>(raw[i]);
-    argv[argc] = nullptr;
-    CampaignOptions opts;
-    EXPECT_DEATH(parseCampaignFlags(argc, argv, opts), "bad --shard");
+    // 4294967297/4294967298 used to wrap to shard 1/2.
+    for (const char *shard :
+         {"3/3", "4294967297/4294967298", "1/", "/2", "+1/2", "1/2x"}) {
+        const char *raw[] = {"bench", "--shard", shard, nullptr};
+        char *argv[4];
+        int argc = 3;
+        for (int i = 0; i < argc; ++i)
+            argv[i] = const_cast<char *>(raw[i]);
+        argv[argc] = nullptr;
+        CampaignOptions opts;
+        EXPECT_DEATH(parseCampaignFlags(argc, argv, opts), "bad --shard")
+            << shard;
+    }
 }
 
 // ---------------------------------------------------------------------

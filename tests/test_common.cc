@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/jsonparse.hh"
 #include "common/random.hh"
@@ -206,9 +207,9 @@ TEST(Stats, CsvRows)
     EXPECT_NE(os.str().find("sim.a,3"), std::string::npos);
 }
 
-// csvRows must expose everything print() shows — min/max, the
-// out-of-range counters and every non-empty bucket — so the CSV/JSON
-// side of an experiment carries the full histogram.
+// The text dump and the CSV/JSON side print the same row list: min/max,
+// the out-of-range counters and every non-empty bucket, under the same
+// names and in the same order.
 TEST(Stats, DistributionCsvParity)
 {
     stats::StatGroup root("sim");
@@ -235,9 +236,20 @@ TEST(Stats, DistributionCsvParity)
     EXPECT_DOUBLE_EQ(value("sim.dist::overflows"), 1.0);
     EXPECT_DOUBLE_EQ(value("sim.dist::[0]"), 2.0);
     EXPECT_DOUBLE_EQ(value("sim.dist::[50]"), 1.0);
-    // Empty buckets stay omitted, matching print().
+    // Empty buckets stay omitted.
     for (const auto &[row, v] : rows)
         EXPECT_NE(row, "sim.dist::[10]");
+
+    std::ostringstream text;
+    root.dump(text);
+    std::istringstream lines(text.str());
+    std::string line;
+    size_t i = 0;
+    while (std::getline(lines, line)) {
+        ASSERT_LT(i, rows.size());
+        EXPECT_EQ(line.substr(0, line.find(' ')), rows[i++].first);
+    }
+    EXPECT_EQ(i, rows.size());
 }
 
 TEST(Stats, ResetAllRecurses)
@@ -251,6 +263,17 @@ TEST(Stats, ResetAllRecurses)
     root.resetAll();
     EXPECT_EQ(a.value(), 0.0);
     EXPECT_EQ(b.value(), 0.0);
+}
+
+TEST(Decimal, DigitsOnlyWithinBound)
+{
+    EXPECT_EQ(parseDecimal("02000", UINT64_MAX), 2000u); // not octal
+    EXPECT_EQ(parseDecimal("4294967295", 4294967295u), 4294967295u);
+    EXPECT_EQ(parseDecimal("18446744073709551615", UINT64_MAX),
+              UINT64_MAX);
+    for (const char *bad : {"", "0x800", "5k", "-1", "+1", " 1", "1 ",
+                            "4294967296", "18446744073709551616"})
+        EXPECT_FALSE(parseDecimal(bad, 4294967295u)) << bad;
 }
 
 TEST(Json, NumberNullsNonFinite)

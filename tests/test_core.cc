@@ -584,43 +584,54 @@ TEST(Invariants, HandlerDutyCycleIsBounded)
 // ---------------------------------------------------------------------
 
 /**
- * Run a hand-built program through SmtCore::run(). A program that
- * HALTs after a couple of instructions can never retire maxInsts user
- * instructions, so the machine makes no forward progress forever —
- * run() must trip the watchdog and return a structured status instead
- * of hanging.
+ * A core on a hand-built program that HALTs after a couple of
+ * instructions: it can never retire maxInsts user instructions, so the
+ * machine makes no forward progress forever — run() must trip the
+ * watchdog and return a structured status instead of hanging.
  */
-CoreResult
-runLivelockedProgram(bool idleSkip)
+struct LivelockedCore
 {
-    SimParams params;
-    params.except.mech = ExceptMech::PerfectTlb;
-    params.maxInsts = 1000;      // unreachable: the program halts first
-    params.watchdogCycles = 4000;
-    params.core.idleSkip = idleSkip;
+    static constexpr uint64_t WatchdogCycles = 4000;
 
+    SimParams params;
     PhysMem mem;
     FrameAllocator frames;
     PalCode pal = buildPalCode();
-    for (size_t i = 0; i < pal.prog.size(); ++i)
-        mem.write32(pal.prog.base + i * 4, pal.prog.words[i]);
-
-    isa::Assembler a;
-    a.addi(1, 31, 1).addi(2, 1, 2).halt();
-    ProcessImage image;
-    image.text = a.assemble(0x10000);
-    image.vaLimit = 0x200000;
-    Process proc(image, 1, mem, frames);
-    std::vector<Process *> procs{&proc};
-
+    std::unique_ptr<Process> proc;
     stats::StatGroup root{"sim"};
-    SmtCore core(params, procs, mem, pal, &root);
-    return core.run();
-}
+    std::unique_ptr<SmtCore> core;
+
+    LivelockedCore()
+    {
+        params.except.mech = ExceptMech::PerfectTlb;
+        params.maxInsts = 1000; // unreachable: the program halts first
+        params.watchdogCycles = WatchdogCycles;
+        for (size_t i = 0; i < pal.prog.size(); ++i)
+            mem.write32(pal.prog.base + i * 4, pal.prog.words[i]);
+
+        isa::Assembler a;
+        a.addi(1, 31, 1).addi(2, 1, 2).halt();
+        ProcessImage image;
+        image.text = a.assemble(0x10000);
+        image.vaLimit = 0x200000;
+        proc = std::make_unique<Process>(image, 1, mem, frames);
+        core = std::make_unique<SmtCore>(
+            params, std::vector<Process *>{proc.get()}, mem, pal, &root);
+    }
+
+    std::string
+    dump() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
+    }
+};
 
 TEST(Livelock, DeliberateLivelockReturnsStructuredStatus)
 {
-    CoreResult result = runLivelockedProgram(true);
+    LivelockedCore machine;
+    CoreResult result = machine.core->run();
     ASSERT_EQ(result.status, RunStatus::Livelock);
     EXPECT_NE(result.error.find("livelock"), std::string::npos);
     // The partial result is still populated: the program's few
@@ -632,16 +643,21 @@ TEST(Livelock, DeliberateLivelockReturnsStructuredStatus)
 
 TEST(Livelock, IdleSkipTripsWatchdogAtIdenticalCycle)
 {
-    // Idle-skip fast-forwards the quiescent machine, but the skip is
-    // capped at the watchdog bound: both machines must report the
-    // livelock at the exact same cycle with the same partial result.
-    CoreResult skip = runLivelockedProgram(true);
-    CoreResult tick = runLivelockedProgram(false);
-    ASSERT_EQ(skip.status, RunStatus::Livelock);
-    ASSERT_EQ(tick.status, RunStatus::Livelock);
-    EXPECT_EQ(skip.cycles, tick.cycles);
-    EXPECT_EQ(skip.userInsts, tick.userInsts);
-    EXPECT_EQ(skip.error, tick.error);
+    // Every cycle ticks, so the watchdog trips on the first cycle past
+    // its bound, and the partial result is that of a core ticked as
+    // many times by hand. (The name is from the idle-skip scheduler
+    // this contract replaced.)
+    LivelockedCore run;
+    CoreResult result = run.core->run();
+    ASSERT_EQ(result.status, RunStatus::Livelock);
+    EXPECT_EQ(result.cycles, LivelockedCore::WatchdogCycles + 1);
+
+    LivelockedCore ticked;
+    for (uint64_t c = 0; c < result.cycles; ++c)
+        ticked.core->tick();
+    EXPECT_EQ(ticked.core->now(), result.cycles);
+    EXPECT_EQ(ticked.core->totalRetiredUser(), result.userInsts);
+    EXPECT_EQ(ticked.dump(), run.dump());
 }
 
 } // anonymous namespace

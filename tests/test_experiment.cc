@@ -247,7 +247,8 @@ TEST(Params, OutOfRangeValueIsFatal)
          {"core.windowSize=4294967360", "core.windowSize=-1",
           "core.width=-4", "core.frontendDepth=4294967303",
           "maxInsts=-1", "seed=18446744073709551616",
-          "helper.checkBase=-0x10"}) {
+          "helper.checkBase=-0x10", "maxInsts=0x800", "maxInsts=+5",
+          "maxInsts= 5", "maxInsts=5k", "maxInsts="}) {
         SimParams params;
         EXPECT_EXIT(params.setKeyValue(assignment),
                     ::testing::ExitedWithCode(1), "bad numeric value")
@@ -258,6 +259,11 @@ TEST(Params, OutOfRangeValueIsFatal)
     EXPECT_EQ(params.core.windowSize, 4294967295u);
     params.setKeyValue("maxInsts=18446744073709551615");
     EXPECT_EQ(params.maxInsts, 18446744073709551615u);
+    // Decimal only: a leading zero is not octal.
+    params.setKeyValue("maxInsts=02000");
+    EXPECT_EQ(params.maxInsts, 2000u);
+    params.setKeyValue("core.width=010");
+    EXPECT_EQ(params.core.width, 10u);
 }
 
 SimParams

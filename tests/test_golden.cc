@@ -3,7 +3,7 @@
  * Golden-run determinism tests: fixed-seed end-to-end runs for every
  * exception mechanism pinned by an exact FNV-1a checksum over the full
  * StatGroup dump. Any refactor that claims to be architecturally
- * invisible (the DynInst pool, idle-skip scheduling, future hot-path
+ * invisible (the DynInst pool, the window counter, future hot-path
  * work) is proven stat-identical here instead of eyeballed: a checksum
  * mismatch means some stat — cycles, misses, occupancy histograms,
  * attribution — moved.
@@ -13,8 +13,8 @@
  * into the table below; that makes stat changes explicit in review.
  *
  * Also here: jobs=1 vs jobs=8 sweep equality (scheduling must never
- * leak into results) and idle-skip on/off dump equality (the skip is a
- * pure wall-clock optimization).
+ * leak into results) and run() vs hand-ticked dump equality (run() is
+ * a tick every cycle plus the watchdog, nothing more).
  */
 
 #include <gtest/gtest.h>
@@ -49,14 +49,21 @@ fnv1a(const std::string &s)
 constexpr uint64_t GoldenInsts = 25000;
 
 SimParams
-goldenParams(ExceptMech mech, bool idleSkip = true)
+goldenParams(ExceptMech mech)
 {
     SimParams params;
     params.maxInsts = GoldenInsts;
     params.except.mech = mech;
     params.except.idleThreads = 1;
-    params.core.idleSkip = idleSkip;
     return params;
+}
+
+std::string
+dumpOf(const Simulator &sim)
+{
+    std::ostringstream os;
+    sim.dumpStats(os);
+    return os.str();
 }
 
 std::string
@@ -66,16 +73,44 @@ statDump(const SimParams &params,
     Simulator sim(params, workloads);
     CoreResult result = sim.run();
     EXPECT_TRUE(result.ok()) << params.summary() << ": " << result.error;
-    std::ostringstream os;
-    sim.dumpStats(os);
-    return os.str();
+    return dumpOf(sim);
 }
 
 std::string
-statDump(ExceptMech mech, bool idleSkip = true)
+statDump(ExceptMech mech)
 {
-    return statDump(goldenParams(mech, idleSkip),
-                    {benchmarkParams("compress")});
+    return statDump(goldenParams(mech), {benchmarkParams("compress")});
+}
+
+/**
+ * run() is a tick every cycle plus the watchdog: its full stat dump
+ * equals that of an identical Simulator whose core is ticked
+ * result.cycles times by hand, and it stops on the first cycle at which
+ * every app thread has retired its share of maxInsts.
+ */
+void
+expectRunMatchesHandTicks(const SimParams &params,
+                          const std::vector<WorkloadParams> &workloads,
+                          const std::string &name)
+{
+    Simulator sim(params, workloads);
+    CoreResult result = sim.run();
+    ASSERT_TRUE(result.ok()) << name << ": " << result.error;
+
+    Simulator ticked(params, workloads);
+    for (uint64_t c = 0; c + 1 < result.cycles; ++c)
+        ticked.core().tick();
+    const uint64_t quota = params.maxInsts / workloads.size();
+    bool all_reached = true;
+    for (unsigned app = 0; app < workloads.size(); ++app)
+        all_reached = all_reached &&
+                      ticked.core().retiredUserInsts(app) >= quota;
+    EXPECT_FALSE(all_reached) << name << ": run() went past its quota";
+    ticked.core().tick();
+    EXPECT_EQ(ticked.core().now(), result.cycles);
+    EXPECT_EQ(ticked.core().totalRetiredUser(), result.userInsts);
+    EXPECT_EQ(dumpOf(sim), dumpOf(ticked))
+        << name << ": run() differs from ticking every cycle";
 }
 
 std::string
@@ -152,19 +187,25 @@ struct GoldenPath
     uint64_t checksum;
 };
 
-std::string
-statDump(const GoldenPath &path, bool idleSkip = true)
+SimParams
+pathParams(const GoldenPath &path)
 {
-    SimParams params = goldenParams(path.mech, idleSkip);
+    SimParams params = goldenParams(path.mech);
     params.except.idleThreads = path.idleThreads;
     if (path.configure)
         path.configure(params);
+    return params;
+}
+
+std::vector<WorkloadParams>
+pathWorkloads(const GoldenPath &path)
+{
     std::vector<WorkloadParams> workloads;
     for (const auto &bench : path.benches) {
         workloads.push_back(benchmarkParams(bench));
         workloads.back().fsqrtOps = path.fsqrtOps;
     }
-    return statDump(params, workloads);
+    return workloads;
 }
 
 const std::vector<std::string> MixAdmCmpVor = {"alphadoom", "compress",
@@ -199,17 +240,19 @@ class GoldenPathTest : public ::testing::TestWithParam<GoldenPath>
 TEST_P(GoldenPathTest, StatDumpChecksumMatches)
 {
     const GoldenPath &path = GetParam();
-    uint64_t actual = fnv1a(statDump(path));
+    uint64_t actual = fnv1a(statDump(pathParams(path), pathWorkloads(path)));
     EXPECT_EQ(actual, path.checksum)
         << path.name << " stat dump changed; if intended, update "
         << "goldenPaths to {..., " << hexChecksum(actual) << "ULL}";
 }
 
+// Named after the idle-skip scheduler this contract replaced, like
+// IdleSkipTest below.
 TEST_P(GoldenPathTest, DumpIdenticalWithIdleSkipOff)
 {
     const GoldenPath &path = GetParam();
-    EXPECT_EQ(statDump(path, true), statDump(path, false))
-        << path.name << ": idle-skip changed a statistic";
+    expectRunMatchesHandTicks(pathParams(path), pathWorkloads(path),
+                              path.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -306,9 +349,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Idle-skip is architecturally invisible: the *entire* stat dump —
-// cycles, every histogram bucket, every derived rate — is byte
-// identical with the fast-forward scheduler on and off.
+// run() adds nothing to the tick loop: the *entire* stat dump — cycles,
+// every histogram bucket, every derived rate — is byte identical to a
+// core ticked by hand for as many cycles. (The suite keeps the name of
+// the idle-skip scheduler this contract replaced.)
 // ---------------------------------------------------------------------
 
 class IdleSkipTest : public ::testing::TestWithParam<GoldenPoint>
@@ -317,8 +361,9 @@ class IdleSkipTest : public ::testing::TestWithParam<GoldenPoint>
 TEST_P(IdleSkipTest, DumpIdenticalWithIdleSkipOff)
 {
     ExceptMech mech = GetParam().mech;
-    EXPECT_EQ(statDump(mech, true), statDump(mech, false))
-        << mechName(mech) << ": idle-skip changed a statistic";
+    expectRunMatchesHandTicks(goldenParams(mech),
+                              {benchmarkParams("compress")},
+                              mechName(mech));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,7 +9,7 @@
  *
  * Usage:
  *   bench_simspeed [--insts N] [--repeat N] [--bench NAME]
- *                  [--json PATH] [--no-json] [--no-idle-skip]
+ *                  [--json PATH] [--no-json]
  *
  * Each configuration runs --repeat times and reports the fastest run
  * (minimum wall time), which is the standard way to suppress host
@@ -17,7 +17,7 @@
  * results/BENCH_simspeed.json (schema zmt-simspeed-v1):
  *
  *   { "schema": "zmt-simspeed-v1", "name": "bench_simspeed",
- *     "benchmark": ..., "insts": N, "repeat": R, "idle_skip": 0|1,
+ *     "benchmark": ..., "insts": N, "repeat": R,
  *     "configs": [ { "label", "mech", "idle_threads", "kips",
  *                    "wall_seconds", "cycles", "user_insts", "ipc" },
  *                  ... ] }
@@ -76,15 +76,13 @@ struct SpeedResult
 
 std::string
 resultsJson(const std::string &bench, uint64_t insts, unsigned repeat,
-            bool idle_skip, const std::vector<SpeedResult> &results)
+            const std::vector<SpeedResult> &results)
 {
     std::string os;
     os += "{\"schema\":\"zmt-simspeed-v1\",\"name\":\"bench_simspeed\"";
     os += ",\"benchmark\":\"" + jsonEscape(bench) + "\"";
     os += ",\"insts\":" + std::to_string(insts);
     os += ",\"repeat\":" + std::to_string(repeat);
-    os += ",\"idle_skip\":";
-    os += idle_skip ? "1" : "0";
     os += ",\"configs\":[";
     for (size_t i = 0; i < results.size(); ++i) {
         const SpeedResult &r = results[i];
@@ -115,7 +113,6 @@ main(int argc, char **argv)
     std::string bench = "compress";
     std::string json_path = "results/BENCH_simspeed.json";
     bool emit_json = true;
-    bool idle_skip = true;
 
     for (int i = 1; i < argc; ++i) {
         auto value = [&](const char *flag) -> const char * {
@@ -130,20 +127,17 @@ main(int argc, char **argv)
         if (const char *v = value("--insts")) {
             insts = parseUnsigned("--insts", v);
         } else if (const char *v = value("--repeat")) {
-            repeat = unsigned(parseUnsigned("--repeat", v));
+            repeat = parseUnsigned<unsigned>("--repeat", v);
         } else if (const char *v = value("--bench")) {
             bench = v;
         } else if (const char *v = value("--json")) {
             json_path = v;
         } else if (std::strcmp(argv[i], "--no-json") == 0) {
             emit_json = false;
-        } else if (std::strcmp(argv[i], "--no-idle-skip") == 0) {
-            idle_skip = false;
         } else {
             std::fprintf(stderr,
                          "usage: bench_simspeed [--insts N] [--repeat N] "
-                         "[--bench NAME] [--json PATH] [--no-json] "
-                         "[--no-idle-skip]\n");
+                         "[--bench NAME] [--json PATH] [--no-json]\n");
             return 2;
         }
     }
@@ -157,7 +151,6 @@ main(int argc, char **argv)
         params.maxInsts = insts;
         params.except.mech = config.mech;
         params.except.idleThreads = config.idleThreads;
-        params.core.idleSkip = idle_skip;
 
         SpeedResult sr;
         sr.label = config.label;
@@ -237,7 +230,7 @@ main(int argc, char **argv)
                          json_path.c_str());
             return 1;
         }
-        out << resultsJson(bench, insts, repeat, idle_skip, results);
+        out << resultsJson(bench, insts, repeat, results);
         std::printf("\nwrote %s (%zu configs)\n", json_path.c_str(),
                     results.size());
     }

@@ -175,15 +175,17 @@ struct Coverage
     }
 };
 
-uint64_t
-parseArg(const char *arg, const char *key, uint64_t fallback, bool *found)
+/** key=N, bounded by what @p T (the type of @p fallback) can hold. */
+template <typename T>
+T
+parseArg(const char *arg, const char *key, T fallback, bool *found)
 {
     std::string s(arg);
     std::string prefix = std::string(key) + "=";
     if (s.rfind(prefix, 0) != 0)
         return fallback;
     *found = true;
-    return parseUnsigned(key, s.c_str() + prefix.size());
+    return parseUnsigned<T>(key, s.c_str() + prefix.size());
 }
 
 std::string
@@ -238,7 +240,8 @@ int
 main(int argc, char **argv)
 {
     uint64_t runs = 200, sweep_seed = 1, base_insts = 8000;
-    uint64_t require_coverage = 1, verbose = 0, jobs = 0, isolate = 0;
+    uint64_t require_coverage = 1, verbose = 0, isolate = 0;
+    unsigned jobs = 0;
     int64_t only = -1;
     std::string json_path, timeout_text;
 
@@ -256,9 +259,9 @@ main(int argc, char **argv)
         timeout_text =
             parseStrArg(argv[i], "timeout", timeout_text, &ok);
         bool only_set = false;
-        uint64_t o = parseArg(argv[i], "only", 0, &only_set);
+        int64_t o = parseArg(argv[i], "only", int64_t(0), &only_set);
         if (only_set) {
-            only = int64_t(o);
+            only = o;
             ok = true;
         }
         if (!ok) {
@@ -302,7 +305,7 @@ main(int argc, char **argv)
     // happens afterwards in index order, so output is identical for
     // any jobs count.
     std::vector<RunOutcome> outcomes(size_t(last - first));
-    SweepRunner runner{unsigned(jobs)};
+    SweepRunner runner{jobs};
     auto start = std::chrono::steady_clock::now();
     runner.parallelFor(outcomes.size(), [&](size_t k) {
         uint64_t i = first + k;
