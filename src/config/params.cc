@@ -1,5 +1,7 @@
 #include "config/params.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -225,19 +227,21 @@ parseUnsigned(const std::string &key, const std::string &value)
         parseU64(key, value, std::numeric_limits<unsigned>::max()));
 }
 
+/**
+ * A probability: a finite decimal or scientific-notation number in
+ * [0, 1], no blanks, no hex. Every double field is one (verify.*Prob).
+ */
 double
-parseDouble(const std::string &key, const std::string &value)
+parseProbability(const std::string &key, const std::string &value)
 {
-    try {
-        size_t pos = 0;
-        double v = std::stod(value, &pos);
-        fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
-                 key.c_str(), value.c_str());
-        return v;
-    } catch (const std::exception &) {
-        fatal("bad numeric value for %s: '%s'", key.c_str(), value.c_str());
-        return 0.0;
-    }
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, v,
+                                     std::chars_format::general);
+    fatal_if(ec != std::errc() || ptr != end || !std::isfinite(v) ||
+                 v < 0.0 || v > 1.0,
+             "bad numeric value for %s: '%s'", key.c_str(), value.c_str());
+    return v;
 }
 
 bool
@@ -260,7 +264,7 @@ parseField(const std::string &key, const std::string &value, T &field)
     else if constexpr (std::is_integral_v<T>)
         field = T(parseU64(key, value, std::numeric_limits<T>::max()));
     else if constexpr (std::is_same_v<T, double>)
-        field = parseDouble(key, value);
+        field = parseProbability(key, value);
     else if constexpr (std::is_same_v<T, std::string>)
         field = value;
     else

@@ -102,8 +102,8 @@ class DispatchContext final
             }
             return value;
         }
-        auto pa = ctx.proc->space().translate(addr);
-        if (!pa) {
+        auto loaded = ctx.proc->space().load(addr, size);
+        if (!loaded) {
             // Wild wrong-path access: no data, but the timing model
             // still sees the address (cache/TLB pollution).
             inst.memMapped = false;
@@ -111,8 +111,8 @@ class DispatchContext final
             return 0;
         }
         inst.memMapped = true;
-        inst.effPa = *pa;
-        return core.physMem.read(*pa, size);
+        inst.effPa = loaded->pa;
+        return loaded->value;
     }
 
     void
@@ -122,19 +122,20 @@ class DispatchContext final
         inst.storeValue = value;
         panic_if(inst.palMode,
                  "PAL handler performed a store (paper Sec 4.2 forbids)");
-        auto pa = ctx.proc->space().translate(addr);
-        if (!pa) {
+        AddressSpace &space = ctx.proc->space();
+        auto old = space.load(addr, size);
+        if (!old) {
             inst.memMapped = false;
             inst.effPa = 0;
             return;
         }
         inst.memMapped = true;
-        inst.effPa = *pa;
+        inst.effPa = old->pa;
         inst.hasMemUndo = true;
-        inst.memUndoPa = *pa;
+        inst.memUndoPa = old->pa;
         inst.memUndoSize = uint8_t(size);
-        inst.memUndoValue = core.physMem.read(*pa, size);
-        core.physMem.write(*pa, size, value);
+        inst.memUndoValue = old->value;
+        space.store(addr, size, value);
     }
 
     void

@@ -21,8 +21,8 @@ SmtCore::readInstWord(const ThreadCtx &ctx, Addr pc) const
     if (ctx.fetchPal)
         return {physMem.read32(pc), pc};
     panic_if(!ctx.proc, "user fetch on an unbound context");
-    if (auto pa = ctx.proc->space().translate(pc))
-        return {physMem.read32(*pa), *pa};
+    if (auto loaded = ctx.proc->space().load(pc, 4))
+        return {isa::InstWord(loaded->value), loaded->pa};
     // Wild wrong-path PC: no instruction, but the I-cache still sees
     // the access (as for unmapped data addresses).
     return {0, fakePa(ctx.proc->asn(), pc)};

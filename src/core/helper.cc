@@ -120,8 +120,7 @@ HelperManager::onDispatch(SmtCore::ThreadCtx &ctx, const DynInst &inst)
 {
     if (!prefetchSvc)
         return;
-    prefetchSvc->train(inst.pc, inst.effVa, inst.effPa,
-                       ctx.proc->space(), core.physMem);
+    prefetchSvc->train(inst.pc, inst.effVa, ctx.proc->space());
 }
 
 void

@@ -71,8 +71,7 @@ PrefetchHelper::enqueue(Addr va, const AddressSpace &space)
 }
 
 void
-PrefetchHelper::train(Addr pc, Addr va, Addr pa,
-                      const AddressSpace &space, const PhysMem &mem)
+PrefetchHelper::train(Addr pc, Addr va, const AddressSpace &space)
 {
     ++trained;
 
@@ -102,15 +101,14 @@ PrefetchHelper::train(Addr pc, Addr va, Addr pa,
     // ahead along the chain.
     if ((va & 7) != 0)
         return;
-    Addr cursor = mem.read64(pa);
-    for (unsigned hop = 0; hop < params.prefetchDistance; ++hop) {
+    auto cell = space.load(va, 8);
+    for (unsigned hop = 0; cell && hop < params.prefetchDistance; ++hop) {
+        Addr cursor = cell->value;
         if ((cursor & 7) != 0 || cursor == 0)
             break;
-        auto next_pa = space.translate(cursor);
-        if (!next_pa)
-            break;
-        enqueue(cursor, space);
-        cursor = mem.read64(*next_pa);
+        cell = space.load(cursor, 8);
+        if (cell)
+            enqueue(cursor, space);
     }
 }
 

@@ -31,7 +31,6 @@
 
 #include "config/params.hh"
 #include "kernel/pagetable.hh"
-#include "kernel/physmem.hh"
 #include "mem/hierarchy.hh"
 #include "stats/stats.hh"
 
@@ -49,8 +48,7 @@ class PrefetchHelper : public stats::StatGroup
      * the stride table and chase pointers from the loaded cell,
      * enqueueing probe candidates.
      */
-    void train(Addr pc, Addr va, Addr pa, const AddressSpace &space,
-               const PhysMem &mem);
+    void train(Addr pc, Addr va, const AddressSpace &space);
 
     /** Classify a demand load about to access the hierarchy. */
     void onDemandLoad(Addr pa, Cycle now);

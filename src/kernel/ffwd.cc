@@ -24,23 +24,23 @@ WarmTrace::exportState(std::vector<WarmPage> &pages,
 // SuperblockCache
 
 Superblock *
-SuperblockCache::lookup(Process &proc, const PhysMem &mem, Addr pc)
+SuperblockCache::lookup(Process &proc, Addr pc)
 {
     uint64_t k = key(proc.asn(), pc);
     if (auto it = blocks.find(k); it != blocks.end())
         return it->second.get();
-    return build(proc, mem, pc);
+    return build(proc, pc);
 }
 
 Superblock *
-SuperblockCache::build(Process &proc, const PhysMem &mem, Addr pc)
+SuperblockCache::build(Process &proc, Addr pc)
 {
     auto sb = std::make_unique<Superblock>();
     sb->pc = pc;
 
     Addr cur = pc;
     for (unsigned n = 0; n < MaxBlockInsts; ++n, cur += 4) {
-        isa::InstWord word = proc.fetchWord(cur, mem);
+        isa::InstWord word = proc.fetchWord(cur);
         const isa::DecodedInst &di = decoder.lookup(word);
         // Anything the interpreter vets per instruction ends discovery
         // *before* the offender: HALT (terminates the run), privileged
@@ -90,7 +90,7 @@ FuncMachine::runFast(uint64_t max_insts, SuperblockCache &blocks)
 
     while (executed < max_insts && !isHalted) {
         if (!sb)
-            sb = blocks.lookup(proc, mem, archState.pc);
+            sb = blocks.lookup(proc, archState.pc);
 
         uint64_t remaining = max_insts - executed;
         if (sb->body.empty() || sb->body.size() > remaining) {
@@ -123,7 +123,7 @@ FuncMachine::runFast(uint64_t max_insts, SuperblockCache &blocks)
         if (sb->chainTo && sb->chainPc == archState.pc) {
             sb = sb->chainTo;
         } else {
-            Superblock *next = blocks.lookup(proc, mem, archState.pc);
+            Superblock *next = blocks.lookup(proc, archState.pc);
             sb->chainPc = archState.pc;
             sb->chainTo = next;
             sb = next;

@@ -343,12 +343,12 @@ class SuperblockCache
      * is one the interpreter must handle itself (HALT, privileged,
      * invalid) — callers fall back to FuncMachine::step().
      */
-    Superblock *lookup(Process &proc, const PhysMem &mem, Addr pc);
+    Superblock *lookup(Process &proc, Addr pc);
 
     size_t blockCount() const { return blocks.size(); }
 
   private:
-    Superblock *build(Process &proc, const PhysMem &mem, Addr pc);
+    Superblock *build(Process &proc, Addr pc);
 
     static uint64_t
     key(Asn asn, Addr pc)

@@ -19,7 +19,7 @@ FuncMachine::step()
     if (isHalted)
         return false;
 
-    isa::InstWord word = proc.fetchWord(archState.pc, mem);
+    isa::InstWord word = proc.fetchWord(archState.pc);
     isa::DecodedInst inst = isa::decode(word);
     panic_if(!inst.valid(), "functional fetch of invalid word at %#lx",
              archState.pc);
@@ -49,16 +49,16 @@ FuncMachine::readMem(Addr addr, unsigned size)
 {
     if (archState.palMode)
         return mem.read(addr, size);
-    auto pa = proc.space().translate(addr);
+    auto loaded = proc.space().load(addr, size);
     // Loads of unmapped user addresses return zero; only wild
     // wrong-path accesses hit this in the timing model, and correct
     // workloads never do functionally.
-    if (!pa)
+    if (!loaded)
         return 0;
     if (warmTrace) [[unlikely]]
         warmTrace->touchData(proc.asn(), addr, proc.space().pteAddr(addr),
-                             *pa, false);
-    return mem.read(*pa, size);
+                             loaded->pa, false);
+    return loaded->value;
 }
 
 void
@@ -68,12 +68,11 @@ FuncMachine::writeMem(Addr addr, unsigned size, uint64_t value)
         mem.write(addr, size, value);
         return;
     }
-    auto pa = proc.space().translate(addr);
+    auto pa = proc.space().store(addr, size, value);
     panic_if(!pa, "functional store to unmapped VA %#lx", addr);
     if (warmTrace) [[unlikely]]
         warmTrace->touchData(proc.asn(), addr, proc.space().pteAddr(addr),
                              *pa, true);
-    mem.write(*pa, size, value);
     static const bool store_trace =
         std::getenv("ZMT_STORE_TRACE") != nullptr;
     if (store_trace) {

@@ -6,10 +6,14 @@
  * physical address spaces cost only what is actually used. All accesses
  * are little-endian and may span page boundaries.
  *
- * The hot path (every fetch, load, store, and PTE probe funnels
- * through here) is a within-page access to a recently-touched page: a
- * tiny direct-mapped cache of page lookups plus a memcpy covers it;
- * page-crossing or first-touch accesses fall back to the byte loop.
+ * Functional fetches, loads and stores bypass read()/write(): they go
+ * through each AddressSpace's host shadow (kernel/pagetable.hh), which
+ * holds hostPage() pointers, and come here only for page-crossing
+ * accesses and frames with no backing page yet. What does come here —
+ * the walker's and PAL handler's PTE loads, PAL-mode physical accesses,
+ * squash undo — is mostly a within-page access to a recently-touched
+ * page: a tiny direct-mapped cache of page lookups plus a memcpy covers
+ * it; page-crossing or first-touch accesses fall back to the byte loop.
  */
 
 #ifndef ZMT_KERNEL_PHYSMEM_HH
@@ -46,6 +50,13 @@ class PhysMem
     void write64(Addr pa, uint64_t v) { write(pa, 8, v); }
     void write32(Addr pa, uint32_t v) { write(pa, 4, v); }
 
+    /**
+     * Host bytes of the page containing pa, or null when it has no
+     * backing page yet (this never creates one). Pages never move or
+     * get freed, so the pointer stays valid for the PhysMem's lifetime.
+     */
+    uint8_t *hostPage(Addr pa) { return cachedPage(pageNum(pa)); }
+
     /** Number of backing pages materialized so far. */
     size_t pagesAllocated() const { return pages.size(); }
 
@@ -74,8 +85,8 @@ class PhysMem
     // Backing store, keyed by physical page number. Pages are never
     // freed or moved once materialized, so raw pointers into the map's
     // unique_ptrs stay valid for the PhysMem's lifetime (which the
-    // lookup cache below relies on). Reads of untouched memory return
-    // zero without materializing a page.
+    // lookup cache below and hostPage() rely on). Reads of untouched
+    // memory return zero without materializing a page.
     std::unordered_map<Addr, std::unique_ptr<uint8_t[]>> pages;
 
     // Direct-mapped memo of recent page lookups. mutable: filling it

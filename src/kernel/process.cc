@@ -19,10 +19,9 @@ Process::Process(const ProcessImage &image, Asn asn, PhysMem &mem,
     // Map and write the text segment.
     _space->mapRange(image.text.base, image.text.size() * 4);
     for (size_t i = 0; i < image.text.size(); ++i) {
-        Addr va = image.text.base + i * 4;
-        auto pa = _space->translate(va);
+        auto pa = _space->store(image.text.base + i * 4, 4,
+                                image.text.words[i]);
         panic_if(!pa, "text page unmapped after mapRange");
-        mem.write32(*pa, image.text.words[i]);
     }
 
     // Pre-map requested data ranges.
@@ -33,9 +32,8 @@ Process::Process(const ProcessImage &image, Asn asn, PhysMem &mem,
     for (const auto &[va, value] : image.dataWords) {
         fatal_if(va % 8 != 0, "unaligned data word at %#lx", va);
         _space->mapPage(va);
-        auto pa = _space->translate(va);
+        auto pa = _space->store(va, 8, value);
         panic_if(!pa, "data page unmapped after mapPage");
-        mem.write64(*pa, value);
     }
 }
 
@@ -75,12 +73,10 @@ Process::setResumeState(const ArchState &state)
 }
 
 isa::InstWord
-Process::fetchWord(Addr pc, const PhysMem &mem) const
+Process::fetchWord(Addr pc) const
 {
-    auto pa = _space->translate(pc);
-    if (!pa)
-        return 0;
-    return mem.read32(*pa);
+    auto loaded = _space->load(pc, 4);
+    return loaded ? isa::InstWord(loaded->value) : 0;
 }
 
 } // namespace zmt

@@ -104,7 +104,7 @@ class Process
      * Unmapped PCs return 0 (decodes as Nop) — only reachable on wild
      * wrong paths.
      */
-    isa::InstWord fetchWord(Addr pc, const PhysMem &mem) const;
+    isa::InstWord fetchWord(Addr pc) const;
 
   private:
     std::unique_ptr<AddressSpace> _space;

@@ -248,7 +248,11 @@ TEST(Params, OutOfRangeValueIsFatal)
           "core.width=-4", "core.frontendDepth=4294967303",
           "maxInsts=-1", "seed=18446744073709551616",
           "helper.checkBase=-0x10", "maxInsts=0x800", "maxInsts=+5",
-          "maxInsts= 5", "maxInsts=5k", "maxInsts="}) {
+          "maxInsts= 5", "maxInsts=5k", "maxInsts=",
+          // Probabilities: finite, decimal, in [0, 1].
+          "verify.badPteProb=nan", "verify.badPteProb=inf",
+          "verify.badPteProb= 0x1p-1", "verify.badPteProb=1.5",
+          "verify.stealIdleProb=-0.25"}) {
         SimParams params;
         EXPECT_EXIT(params.setKeyValue(assignment),
                     ::testing::ExitedWithCode(1), "bad numeric value")
@@ -264,6 +268,10 @@ TEST(Params, OutOfRangeValueIsFatal)
     EXPECT_EQ(params.maxInsts, 2000u);
     params.setKeyValue("core.width=010");
     EXPECT_EQ(params.core.width, 10u);
+    params.setKeyValue("verify.badPteProb=0.25");
+    EXPECT_EQ(params.verify.badPteProb, 0.25);
+    params.setKeyValue("verify.forceSecondaryMissProb=1e-3");
+    EXPECT_EQ(params.verify.forceSecondaryMissProb, 1e-3);
 }
 
 SimParams

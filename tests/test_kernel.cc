@@ -689,7 +689,7 @@ TEST(Process, LoadsTextAndData)
     EXPECT_EQ(state.readPriv(PrivReg::Ptbr), proc.space().ptbr());
 
     // Text is fetchable; data is in place.
-    EXPECT_EQ(proc.fetchWord(0x10000, mem), image.text.words[0]);
+    EXPECT_EQ(proc.fetchWord(0x10000), image.text.words[0]);
     auto pa = proc.space().translate(0x20000);
     ASSERT_TRUE(pa.has_value());
     EXPECT_EQ(mem.read64(*pa), 0x55aaULL);
@@ -705,7 +705,7 @@ TEST(Process, FetchOfUnmappedReturnsZero)
     PhysMem mem;
     FrameAllocator frames;
     Process proc(image, 1, mem, frames);
-    EXPECT_EQ(proc.fetchWord(0x30000, mem), 0u);
+    EXPECT_EQ(proc.fetchWord(0x30000), 0u);
 }
 
 } // anonymous namespace
