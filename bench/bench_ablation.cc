@@ -60,7 +60,8 @@ summary()
     for (const auto &config : configs) {
         std::vector<std::string> row{config.label};
         for (const auto &bench : ablationBenches)
-            row.push_back(fmt(cellResult(configParams(config), {bench})
+            row.push_back(fmt(cellResult(configParams(config),
+                                         benchmarkWorkloads({bench}))
                                   .penaltyPerMiss()));
         table.row(row);
     }
@@ -82,6 +83,6 @@ main(int argc, char **argv)
         for (const auto &bench : ablationBenches)
             declareCell(std::string("ablation/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -40,7 +40,8 @@ summary()
         std::vector<double> penalties;
         for (unsigned depth : depths)
             penalties.push_back(
-                cellResult(depthParams(depth), {bench}).penaltyPerMiss());
+                cellResult(depthParams(depth), benchmarkWorkloads({bench}))
+                    .penaltyPerMiss());
         double slope = (penalties[2] - penalties[0]) / (11 - 3);
         avg_slope += slope;
         for (size_t i = 0; i < penalties.size(); ++i)
@@ -68,6 +69,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell("fig2/depth" + std::to_string(depth) +
                             "/" + bench,
-                        depthParams(depth), {bench});
+                        depthParams(depth), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -41,7 +41,8 @@ summary()
         std::vector<double> fracs;
         for (unsigned width : widths)
             fracs.push_back(
-                cellResult(widthParams(width), {bench}).tlbFraction() *
+                cellResult(widthParams(width), benchmarkWorkloads({bench}))
+                    .tlbFraction() *
                 100.0);
         for (size_t i = 0; i < fracs.size(); ++i)
             sums[i] += fracs[i];
@@ -72,6 +73,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell("fig3/width" + std::to_string(width) +
                             "/" + bench,
-                        widthParams(width), {bench});
+                        widthParams(width), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -58,8 +58,8 @@ summary()
     for (const auto &bench : benchmarkNames()) {
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
-            const PenaltyResult &r =
-                cellResult(configParams(configs[i]), {bench});
+            const PenaltyResult &r = cellResult(
+                configParams(configs[i]), benchmarkWorkloads({bench}));
             double penalty = r.penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
@@ -101,7 +101,9 @@ attribSummary()
     for (const auto &config : configs) {
         obs::AttribSummary sum;
         for (const auto &bench : benchmarkNames())
-            sum += cellResult(configParams(config), {bench}).mech.attrib;
+            sum += cellResult(configParams(config),
+                              benchmarkWorkloads({bench}))
+                       .mech.attrib;
         std::vector<std::string> row{config.label,
                                      std::to_string(sum.completed)};
         for (unsigned c = 0; c < obs::NumAttribCats; ++c)
@@ -122,6 +124,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell(std::string("fig5/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -53,7 +53,8 @@ summary()
     for (const auto &bench : benchmarkNames()) {
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
-            double penalty = cellResult(configParams(configs[i]), {bench})
+            double penalty = cellResult(configParams(configs[i]),
+                                        benchmarkWorkloads({bench}))
                                  .penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
@@ -86,6 +87,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell(std::string("fig6/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -57,6 +57,13 @@ mixLabel(const std::vector<std::string> &mix)
     return label;
 }
 
+double
+penalty(const Config &config, const std::vector<std::string> &mix)
+{
+    return cellResult(configParams(config), benchmarkWorkloads(mix))
+        .penaltyPerMiss();
+}
+
 void
 summary()
 {
@@ -70,10 +77,9 @@ summary()
     for (const auto &mix : figure7Mixes()) {
         std::vector<std::string> row{mixLabel(mix)};
         for (size_t i = 0; i < std::size(configs); ++i) {
-            double penalty =
-                cellResult(configParams(configs[i]), mix).penaltyPerMiss();
-            sums[i] += penalty;
-            row.push_back(fmt(penalty));
+            double cell = penalty(configs[i], mix);
+            sums[i] += cell;
+            row.push_back(fmt(cell));
         }
         table.row(row);
     }
@@ -90,20 +96,13 @@ summary()
     // enough misses for the penalty to be resolvable.
     double heavy_trad = 0, heavy_mt = 0, heavy_qs = 0;
     unsigned heavy = 0;
-    {
-        size_t i = 0;
-        for (const auto &mix : figure7Mixes()) {
-            double trad_p =
-                cellResult(configParams(configs[0]), mix).penaltyPerMiss();
-            if (trad_p > 10.0) {
-                heavy_trad += trad_p;
-                heavy_mt += cellResult(configParams(configs[1]), mix)
-                                .penaltyPerMiss();
-                heavy_qs += cellResult(configParams(configs[2]), mix)
-                                .penaltyPerMiss();
-                ++heavy;
-            }
-            ++i;
+    for (const auto &mix : figure7Mixes()) {
+        double trad_p = penalty(configs[0], mix);
+        if (trad_p > 10.0) {
+            heavy_trad += trad_p;
+            heavy_mt += penalty(configs[1], mix);
+            heavy_qs += penalty(configs[2], mix);
+            ++heavy;
         }
     }
     std::printf("\nSMT hides most of each miss (penalties collapse "
@@ -132,6 +131,6 @@ main(int argc, char **argv)
         for (const auto &mix : figure7Mixes())
             declareCell(std::string("fig7/") + config.label +
                             "/" + mixLabel(mix),
-                        configParams(config), mix);
+                        configParams(config), benchmarkWorkloads(mix));
     return benchMain(argv[0], summary);
 }

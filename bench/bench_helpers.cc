@@ -60,8 +60,8 @@ summary()
         double base_ipc = 0.0;
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
-            const PenaltyResult &r =
-                cellResult(configParams(configs[i]), {bench});
+            const PenaltyResult &r = cellResult(
+                configParams(configs[i]), benchmarkWorkloads({bench}));
             double ipc = r.mech.ipc;
             if (i == 0) {
                 base_ipc = ipc;
@@ -95,6 +95,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell(std::string("helpers/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

@@ -65,7 +65,8 @@ summary()
     for (const auto &config : configs) {
         double sum = 0;
         for (const auto &bench : benchmarkNames())
-            sum += cellResult(configParams(config), {bench})
+            sum += cellResult(configParams(config),
+                              benchmarkWorkloads({bench}))
                        .penaltyPerMiss();
         table.row({config.label, fmt(sum / benchmarkNames().size()),
                    fmt(config.paperAvg)});
@@ -88,6 +89,6 @@ main(int argc, char **argv)
         for (const auto &bench : benchmarkNames())
             declareCell(std::string("table3/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

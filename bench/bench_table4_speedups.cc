@@ -69,9 +69,10 @@ summary()
     table.header(header);
 
     for (const auto &bench : benchmarkNames()) {
-        const PenaltyResult &trad = cellResult(trad_params, {bench});
+        const std::vector<WorkloadParams> wls = benchmarkWorkloads({bench});
+        const PenaltyResult &trad = cellResult(trad_params, wls);
         const PenaltyResult &perfect =
-            cellResult(configParams(configs[0]), {bench});
+            cellResult(configParams(configs[0]), wls);
 
         std::vector<std::string> row{bench, fmt(perfect.mech.ipc, 2),
                                      fmt(trad.missesPerKilo(), 3)};
@@ -79,7 +80,7 @@ summary()
         const auto &ref = paperSpeedups.at(bench);
         for (size_t i = 0; i < std::size(configs); ++i) {
             const PenaltyResult &r =
-                cellResult(configParams(configs[i]), {bench});
+                cellResult(configParams(configs[i]), wls);
             double speedup = (r.speedupOver(trad.mech) - 1.0) * 100.0;
             row.push_back(fmt(speedup, 2) + "%");
             paper.push_back(fmt(ref[i], 1) + "%");
@@ -105,11 +106,11 @@ main(int argc, char **argv)
     trad.except.mech = ExceptMech::Traditional;
     for (const auto &bench : benchmarkNames())
         declareCell(std::string("table4/traditional/") + bench,
-                    trad, {bench});
+                    trad, benchmarkWorkloads({bench}));
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
             declareCell(std::string("table4/") + config.label +
                             "/" + bench,
-                        configParams(config), {bench});
+                        configParams(config), benchmarkWorkloads({bench}));
     return benchMain(argv[0], summary);
 }

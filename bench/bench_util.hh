@@ -9,7 +9,7 @@
  *   {
  *       benchParseArgs(argc, argv);  // first: cells read --insts
  *       for (...)
- *           declareCell(label, params, {bench});
+ *           declareCell(label, params, benchmarkWorkloads({bench}));
  *       return benchMain(argv[0], summary);
  *   }
  *
@@ -123,7 +123,7 @@ benchParseArgs(int argc, char **argv)
                 "usage: %s [--jobs N] [--insts N] [--warmup N] "
                 "[--json PATH | --no-json] [--attrib]\n"
                 "       [--isolate] [--timeout S] [--retries N] "
-                "[--backoff S] [--shard I/N]\n"
+                "[--shard I/N]\n"
                 "       [--journal PATH] [--resume PATH] "
                 "[--inject-panic SUBSTR]\n",
                 argv[0], argv[i], argv[0]);
@@ -153,7 +153,7 @@ namespace detail
 struct Grid
 {
     std::vector<SweepJob> jobs;            //!< declaration order
-    std::map<std::string, size_t> byKey;   //!< cell key -> jobs index
+    std::map<std::string, size_t> byKey;   //!< cellKey -> jobs index
     std::vector<CampaignOutcome> outcomes; //!< parallel to jobs
 };
 
@@ -164,84 +164,31 @@ grid()
     return grid;
 }
 
-/** The workload half of a cell key; SimParams::canonicalKey() is the
- *  other half. */
-inline std::string
-workloadKey(const std::vector<std::string> &benches)
-{
-    std::string key = "|n:";
-    for (const auto &bench : benches)
-        key += bench + "+";
-    return key;
-}
-
-inline std::string
-workloadKey(const std::vector<WorkloadParams> &workloads)
-{
-    std::string key = "|w:";
-    for (const auto &wp : workloads)
-        key += canonicalKey(wp) + "+";
-    return key;
-}
-
-inline void
-declare(SweepJob job, const std::string &workloads)
-{
-    Grid &g = grid();
-    g.byKey.emplace(job.params.canonicalKey() + workloads, g.jobs.size());
-    g.jobs.push_back(std::move(job));
-}
-
-inline const PenaltyResult &
-lookup(const SimParams &params, const std::string &workloads)
-{
-    const Grid &g = grid();
-    auto it = g.byKey.find(params.canonicalKey() + workloads);
-    panic_if(it == g.byKey.end(),
-             "bench grid: summary() reads a cell main() never "
-             "declared (%s)",
-             workloads.c_str());
-    return g.outcomes[it->second].outcome.result;
-}
-
 } // namespace detail
 
-/** Declare one cell of the grid: @p params on named benchmarks. */
-inline void
-declareCell(std::string label, SimParams params,
-            std::vector<std::string> benches)
-{
-    std::string key = detail::workloadKey(benches);
-    detail::declare(SweepJob(std::move(params), std::move(benches),
-                             std::move(label)),
-                    key);
-}
-
-/** Explicit-workload variant (e.g. the Section 6 emulation study);
+/** Declare one cell of the grid: @p params on @p workloads;
  *  @p skipBaseline drops the perfect-TLB companion run. */
 inline void
 declareCell(std::string label, SimParams params,
             std::vector<WorkloadParams> workloads,
             bool skipBaseline = false)
 {
-    std::string key = detail::workloadKey(workloads);
-    detail::declare(SweepJob(std::move(params), std::move(workloads),
-                             std::move(label), skipBaseline),
-                    key);
+    detail::Grid &g = detail::grid();
+    g.byKey.emplace(cellKey(params, workloads), g.jobs.size());
+    g.jobs.push_back({std::move(params), std::move(workloads),
+                      std::move(label), skipBaseline});
 }
 
 /** A declared cell's result, for summary() (panics on any other). */
 inline const PenaltyResult &
-cellResult(const SimParams &params, const std::vector<std::string> &benches)
-{
-    return detail::lookup(params, detail::workloadKey(benches));
-}
-
-inline const PenaltyResult &
 cellResult(const SimParams &params,
            const std::vector<WorkloadParams> &workloads)
 {
-    return detail::lookup(params, detail::workloadKey(workloads));
+    const detail::Grid &g = detail::grid();
+    auto it = g.byKey.find(cellKey(params, workloads));
+    panic_if(it == g.byKey.end(),
+             "bench grid: summary() reads a cell main() never declared");
+    return g.outcomes[it->second].outcome.result;
 }
 
 /** Pretty table writer used for the paper-vs-measured summaries. */

@@ -34,8 +34,9 @@ main(int argc, char **argv)
     std::printf("SMT mix: %s + %s + %s, one idle context\n\n",
                 mix[0].c_str(), mix[1].c_str(), mix[2].c_str());
 
+    const std::vector<WorkloadParams> workloads = benchmarkWorkloads(mix);
     params.except.mech = ExceptMech::PerfectTlb;
-    CoreResult base = runSimulation(params, mix);
+    CoreResult base = runSimulation(params, workloads);
 
     std::printf("%-18s %10s %8s %10s %14s %12s\n", "mechanism", "cycles",
                 "IPC", "misses", "penalty/miss", "handler-duty");
@@ -44,7 +45,7 @@ main(int argc, char **argv)
           ExceptMech::QuickStart, ExceptMech::Hardware}) {
         params.except.mech = mech;
         params.except.idleThreads = 1;
-        Simulator sim(params, mix);
+        Simulator sim(params, workloads);
         CoreResult result = sim.run();
 
         double penalty =

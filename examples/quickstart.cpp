@@ -22,6 +22,8 @@ main(int argc, char **argv)
 
     SimParams params;
     params.maxInsts = max_insts;
+    const std::vector<WorkloadParams> compress =
+        benchmarkWorkloads({"compress"});
 
     std::printf("workload: compress-like, %llu instructions\n\n",
                 (unsigned long long)max_insts);
@@ -33,7 +35,7 @@ main(int argc, char **argv)
           ExceptMech::QuickStart, ExceptMech::Hardware}) {
         params.except.mech = mech;
         params.except.idleThreads = 1;
-        PenaltyResult r = measurePenalty(params, {"compress"});
+        PenaltyResult r = measurePenalty(params, compress);
         std::printf("%-16s %10llu %10.2f %10llu %12.2f %10.3f\n",
                     mechName(mech), (unsigned long long)r.mech.cycles,
                     r.mech.ipc, (unsigned long long)r.mech.tlbMisses,
@@ -41,7 +43,7 @@ main(int argc, char **argv)
     }
 
     params.except.mech = ExceptMech::PerfectTlb;
-    CoreResult perfect = runSimulation(params, {"compress"});
+    CoreResult perfect = runSimulation(params, compress);
     std::printf("%-16s %10llu %10.2f\n", "perfect",
                 (unsigned long long)perfect.cycles, perfect.ipc);
     return 0;

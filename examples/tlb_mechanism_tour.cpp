@@ -46,9 +46,12 @@ main(int argc, char **argv)
                 bench.c_str(), (unsigned long long)max_insts,
                 (unsigned long long)params.warmupInsts);
 
+    const std::vector<WorkloadParams> workloads =
+        benchmarkWorkloads({bench});
+
     // Baseline.
     params.except.mech = ExceptMech::PerfectTlb;
-    Simulator perfect(params, std::vector<std::string>{bench});
+    Simulator perfect(params, workloads);
     CoreResult base = perfect.run();
     std::printf("\n[perfect TLB]     %8llu cycles, IPC %.2f — the "
                 "baseline: no misses ever.\n",
@@ -64,7 +67,7 @@ main(int argc, char **argv)
 
     // Traditional.
     params.except.mech = ExceptMech::Traditional;
-    Simulator trad(params, std::vector<std::string>{bench});
+    Simulator trad(params, workloads);
     CoreResult trad_result = trad.run();
     std::printf("\n[traditional]     %8llu cycles, IPC %.2f, "
                 "%.1f cycles/miss\n",
@@ -84,7 +87,7 @@ main(int argc, char **argv)
     // Multithreaded.
     params.except.mech = ExceptMech::Multithreaded;
     params.except.idleThreads = 1;
-    Simulator mt(params, std::vector<std::string>{bench});
+    Simulator mt(params, workloads);
     CoreResult mt_result = mt.run();
     std::printf("\n[multithreaded]   %8llu cycles, IPC %.2f, "
                 "%.1f cycles/miss\n",
@@ -101,7 +104,7 @@ main(int argc, char **argv)
 
     // Quick-start.
     params.except.mech = ExceptMech::QuickStart;
-    Simulator qs(params, std::vector<std::string>{bench});
+    Simulator qs(params, workloads);
     CoreResult qs_result = qs.run();
     std::printf("\n[quick-start]     %8llu cycles, IPC %.2f, "
                 "%.1f cycles/miss\n",
@@ -115,7 +118,7 @@ main(int argc, char **argv)
 
     // Hardware.
     params.except.mech = ExceptMech::Hardware;
-    Simulator hw(params, std::vector<std::string>{bench});
+    Simulator hw(params, workloads);
     CoreResult hw_result = hw.run();
     std::printf("\n[hardware walker] %8llu cycles, IPC %.2f, "
                 "%.1f cycles/miss\n",

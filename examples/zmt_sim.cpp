@@ -67,7 +67,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    Simulator sim(params, benches);
+    Simulator sim(params, benchmarkWorkloads(benches));
     CoreResult result = sim.run();
 
     // Print the resolved workload names (not the raw CLI args) so a

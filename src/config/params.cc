@@ -96,10 +96,11 @@ namespace
 /**
  * The one field list of SimParams: every field of every sub-struct in
  * declaration order, each under its dotted name. set() parses into it,
- * forEachParam() prints from it, and the baseline cache keys on what it
- * prints, so omitting a field here would silently alias configurations
- * that simulate differently (the pre-sweep baselineKey() bug). Adding
- * a parameter to SimParams means adding one line here.
+ * forEachParam() prints from it, and cellKey() (the baseline cache,
+ * the bench grid, the campaign journal) keys on what it prints, so
+ * omitting a field here would silently alias configurations that
+ * simulate differently. Adding a parameter to SimParams means adding
+ * one line here.
  */
 template <typename Params, typename Visitor>
 void
@@ -206,7 +207,6 @@ visitFields(Params &p, Visitor &&v)
 
     v("maxInsts", p.maxInsts);
     v("warmupInsts", p.warmupInsts);
-    v("seed", p.seed);
     v("watchdogCycles", p.watchdogCycles);
 }
 
@@ -357,7 +357,7 @@ SimParams::summary() const
     if (except.usesHandlerThread())
         os << " idle=" << except.idleThreads;
     if (verify.enabled())
-        os << " verify[seed=" << (verify.seed ? verify.seed : seed)
+        os << " verify[seed=" << verify.seed
            << (verify.anyInjection() ? " inject" : "")
            << (verify.invariantPeriod ? " audit" : "") << "]";
     return os.str();

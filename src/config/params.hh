@@ -163,7 +163,7 @@ struct VerifyParams
     /** Audit pipeline invariants every N cycles (0 = disabled). */
     unsigned invariantPeriod = 0;
 
-    /** Injector RNG seed; 0 derives it from SimParams::seed. */
+    /** Injector RNG seed; 0 draws the default stream. */
     uint64_t seed = 0;
 
     /**
@@ -377,9 +377,6 @@ struct SimParams
      * checkpoints for the same reason). Counted toward maxInsts.
      */
     uint64_t warmupInsts = 0;
-
-    /** Workload-generation seed. */
-    uint64_t seed = 1;
 
     /**
      * Livelock watchdog: abort the run (with a structured error

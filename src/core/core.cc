@@ -125,8 +125,7 @@ SmtCore::SmtCore(const SimParams &params, std::vector<Process *> apps,
     }
 
     if (params.verify.anyInjection()) {
-        injector = std::make_unique<FaultInjector>(params.verify,
-                                                   params.seed, this);
+        injector = std::make_unique<FaultInjector>(params.verify, this);
     }
     if (params.verify.invariantPeriod > 0)
         checker = std::make_unique<InvariantChecker>(*this);

@@ -1,11 +1,11 @@
 #include "sim/campaign.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cerrno>
+#include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <fcntl.h>
@@ -28,20 +28,18 @@ namespace zmt
 // Flag parsing
 // ---------------------------------------------------------------------
 
-namespace
+std::optional<double>
+parseSeconds(std::string_view text)
 {
-
-double
-parsePositiveDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    double v = std::strtod(value, &end);
-    fatal_if(end == value || *end != '\0' || !(v >= 0.0),
-             "bad %s value '%s'", flag, value);
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    auto [stop, error] = std::from_chars(text.data(), end, v,
+                                         std::chars_format::general);
+    if (error != std::errc() || stop != end || !(v >= 0.0) ||
+        v > MaxBudgetSeconds)
+        return std::nullopt;
     return v;
 }
-
-} // anonymous namespace
 
 void
 parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts)
@@ -69,11 +67,11 @@ parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts)
         if (std::strcmp(arg, "--isolate") == 0) {
             opts.isolate = true;
         } else if (takeValue(i, arg, "--timeout", &value)) {
-            opts.timeoutSeconds = parsePositiveDouble("--timeout", value);
+            std::optional<double> seconds = parseSeconds(value);
+            fatal_if(!seconds, "bad --timeout value '%s'", value);
+            opts.timeoutSeconds = *seconds;
         } else if (takeValue(i, arg, "--retries", &value)) {
             opts.retries = parseUnsigned<unsigned>("--retries", value);
-        } else if (takeValue(i, arg, "--backoff", &value)) {
-            opts.backoffSeconds = parsePositiveDouble("--backoff", value);
         } else if (takeValue(i, arg, "--shard", &value)) {
             std::string_view text = value;
             size_t slash = text.find('/');
@@ -106,14 +104,9 @@ parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts)
 std::string
 sweepJobKey(const SweepJob &job)
 {
-    std::ostringstream os;
-    os << job.label << '\n' << job.params.canonicalKey() << '\n';
-    for (const std::string &bench : job.benchmarks)
-        os << "bench:" << bench << '\n';
-    for (const WorkloadParams &workload : job.workloads)
-        os << "wload:" << canonicalKey(workload) << '\n';
-    os << "skip:" << (job.skipBaseline ? 1 : 0);
-    return hex64(fnv1a64(os.str()));
+    return hex64(fnv1a64(job.label + '\n' +
+                         cellKey(job.params, job.workloads) +
+                         "\nskip:" + (job.skipBaseline ? "1" : "0")));
 }
 
 /** JobFailure's field list: the results cell's "failure" object and a
@@ -323,7 +316,7 @@ childFailure(const ChildResult &child)
 namespace
 {
 
-const char JournalHeader[] = "zmt-journal-v2";
+const char JournalHeader[] = "zmt-journal-v3";
 
 /** A record's JSON: key, label, and the outcome of a cell with a
  *  result or the failure of one without. */
@@ -503,6 +496,9 @@ loadJournal(const std::string &path, std::vector<JournalRecord> *records,
 namespace
 {
 
+/** Base of the exponential backoff between a cell's attempts. */
+constexpr double RetryBackoffSeconds = 0.05;
+
 std::atomic<int> gStopRequested{0};
 
 void
@@ -532,12 +528,8 @@ measureJob(const SweepJob &job)
 {
     SweepOutcome outcome;
     auto start = std::chrono::steady_clock::now();
-    if (!job.workloads.empty()) {
-        outcome.result =
-            measurePenalty(job.params, job.workloads, job.skipBaseline);
-    } else {
-        outcome.result = measurePenalty(job.params, job.benchmarks);
-    }
+    outcome.result =
+        measurePenalty(job.params, job.workloads, job.skipBaseline);
     outcome.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
@@ -603,7 +595,7 @@ CampaignRunner::runOneJob(const SweepJob &job)
     for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
         if (attempt > 1) {
             // Exponential backoff: base * 2^(retry - 1).
-            sleepWithStopCheck(options.backoffSeconds *
+            sleepWithStopCheck(RetryBackoffSeconds *
                                double(1u << (attempt - 2 > 20
                                                  ? 20
                                                  : attempt - 2)));

@@ -14,15 +14,15 @@
  *    stderr, exit status and wall-clock, so panic(), sanitizer aborts
  *    and OOM kills become a typed JobFailure record instead of taking
  *    down the runner;
- *  - retry / timeout / backoff: a per-job wall-clock timeout (child is
+ *  - retry / timeout: a per-job wall-clock timeout (child is
  *    SIGKILLed), bounded retries with exponential backoff, and early
  *    quarantine when two consecutive attempts fail identically (a
  *    deterministic failure — retrying is pointless);
- *  - crash-resumable journal: an append-only fsync'd zmt-journal-v2
- *    file keyed on the job's canonical parameter + workload
- *    serialization; a truncated trailing record (the process died
- *    mid-append) is tolerated, mid-file corruption is rejected, and
- *    resuming from the journal re-runs only the missing cells;
+ *  - crash-resumable journal: an append-only fsync'd zmt-journal-v3
+ *    file keyed on the job's label and cellKey; a truncated trailing
+ *    record (the process died mid-append) is tolerated, mid-file
+ *    corruption is rejected, and resuming from the journal re-runs
+ *    only the missing cells;
  *  - sharding: deterministic index-modulo partitioning so N machines
  *    each run 1/N of a campaign and tools/sweep_merge reassembles the
  *    shards into output byte-identical to an unsharded run;
@@ -39,7 +39,9 @@
 
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/core.hh"
@@ -58,18 +60,30 @@ struct CampaignOptions
     bool isolate = false;        //!< run each job in a forked child
     double timeoutSeconds = 0.0; //!< per-attempt wall clock (0 = none)
     unsigned retries = 0;        //!< extra attempts after the first
-    double backoffSeconds = 0.05;//!< base for exponential retry backoff
     unsigned shardIndex = 0;     //!< this process's shard (--shard i/N)
     unsigned shardCount = 1;     //!< total shards
     std::string journalPath;     //!< append results here ("" = off)
     std::string resumePath;      //!< skip cells journaled here ("" = off)
 };
 
+/** The cap on a wall-clock budget, in seconds (about 23 days): its
+ *  milliseconds fit the int timeout runInForkedChild gives poll(). */
+constexpr double MaxBudgetSeconds = 2'000'000.0;
+
+/**
+ * A typed-in wall-clock budget in seconds (--timeout, torture's
+ * timeout=): a decimal or scientific number in [0, MaxBudgetSeconds],
+ * read with std::from_chars, so "inf", "nan", "1e400", "0x10", "-1",
+ * " 5" and "" are refused (nullopt) instead of overflowing the poll()
+ * deadline.
+ */
+std::optional<double> parseSeconds(std::string_view text);
+
 /**
  * Parse and strip the campaign flags from argv (compacting argc):
- * --isolate, --timeout S, --retries N, --backoff S, --shard I/N,
- * --journal PATH, --resume PATH. Shared by the bench binaries so
- * every campaign consumer spells fault tolerance the same way.
+ * --isolate, --timeout S, --retries N, --shard I/N, --journal PATH,
+ * --resume PATH. Shared by the bench binaries so every campaign
+ * consumer spells fault tolerance the same way.
  */
 void parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts);
 
@@ -118,10 +132,10 @@ struct CampaignOutcome
 // ---------------------------------------------------------------------
 
 /**
- * Canonical identity of a sweep cell: FNV-1a over the label, the full
- * SimParams::canonicalKey(), the workload serialization and the
- * baseline flag, rendered as 16 hex digits. Two jobs with equal keys
- * simulate identically, so a journal hit can stand in for a re-run.
+ * Canonical identity of a sweep cell: FNV-1a over the label, the
+ * cellKey of its params and workloads, and the baseline flag, rendered
+ * as 16 hex digits. Two jobs with equal keys simulate identically, so
+ * a journal hit can stand in for a re-run.
  */
 std::string sweepJobKey(const SweepJob &job);
 
@@ -172,7 +186,7 @@ ChildResult runInForkedChild(const std::function<std::string()> &fn,
 JobFailure childFailure(const ChildResult &child);
 
 // ---------------------------------------------------------------------
-// Crash-resumable journal (schema zmt-journal-v2)
+// Crash-resumable journal (schema zmt-journal-v3)
 // ---------------------------------------------------------------------
 
 /**
@@ -188,7 +202,7 @@ struct JournalRecord
 };
 
 /**
- * Append-only journal writer. After the zmt-journal-v2 header line,
+ * Append-only journal writer. After the zmt-journal-v3 header line,
  * every record is one line "<16-hex fnv1a64 of the JSON> <JSON>", the
  * JSON an object {"key","label","outcome"} for an ok cell (outcome as
  * writeSweepOutcome prints it) or {"key","label","failure"} for a
@@ -225,9 +239,9 @@ class CampaignJournal
  * line is tolerated (the writer died mid-append) and reported via
  * @p truncatedTrailing; a bad record anywhere else is corruption and
  * fails the load with a line-numbered error, as does any header but
- * zmt-journal-v2. Records are returned in file order; on duplicate
- * keys the last record wins (a resumed run re-ran a previously failed
- * cell).
+ * zmt-journal-v3 (an older journal keys its cells differently).
+ * Records are returned in file order; on duplicate keys the last
+ * record wins (a resumed run re-ran a previously failed cell).
  */
 bool loadJournal(const std::string &path,
                  std::vector<JournalRecord> *records, std::string *error,

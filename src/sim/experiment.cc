@@ -4,44 +4,12 @@
 #include <future>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 namespace zmt
 {
 
 namespace
 {
-
-/**
- * Baseline-cache key: the canonical serialization of *every* SimParams
- * field plus the workload list. The old hand-picked field list (width,
- * window, depth, insts, warm-up, seed, dTLB entries) silently aliased
- * configurations differing in memory latencies, cache geometry,
- * predictor shape etc. to one stale baseline; canonicalKey() cannot.
- */
-std::string
-baselineKey(const SimParams &params,
-            const std::vector<std::string> &benchmarks)
-{
-    std::ostringstream os;
-    os << "n:";
-    for (const auto &bench : benchmarks)
-        os << bench << "+";
-    os << "|" << params.canonicalKey();
-    return os.str();
-}
-
-std::string
-baselineKey(const SimParams &params,
-            const std::vector<WorkloadParams> &workloads)
-{
-    std::ostringstream os;
-    os << "w:";
-    for (const auto &wp : workloads)
-        os << canonicalKey(wp) << "+";
-    os << "|" << params.canonicalKey();
-    return os.str();
-}
 
 /**
  * Memoized baselines, shared by every thread of a sweep. Values are
@@ -74,46 +42,36 @@ cachedRun(const std::string &key, const std::function<CoreResult()> &run)
     return fut.get();
 }
 
-template <typename Workloads>
-PenaltyResult
-measureWith(const SimParams &params, const Workloads &workloads,
-            bool skip_baseline)
+} // anonymous namespace
+
+std::string
+cellKey(const SimParams &params,
+        const std::vector<WorkloadParams> &workloads)
+{
+    std::string key = params.canonicalKey();
+    for (const WorkloadParams &wp : workloads) {
+        key += '|';
+        key += canonicalKey(wp);
+    }
+    return key;
+}
+
+SimParams
+baselineParams(const SimParams &params)
 {
     SimParams perfect = params;
     perfect.except.mech = ExceptMech::PerfectTlb;
     // Observability exports belong to the measured run only: a cached
     // baseline must neither clobber the caller's trace files nor get a
-    // baseline-cache key polluted by export paths. Likewise the
-    // checkpoint output: the baseline fast-forwards the same region
-    // (ffwd.insts / restore stay) but must not re-write the file.
+    // key polluted by export paths. Likewise the checkpoint output:
+    // the baseline fast-forwards the same region (ffwd.insts / restore
+    // stay) but must not re-write the file.
     perfect.obs = {};
     perfect.ffwd.save.clear();
     // Only the handler-thread mechanisms read idleThreads, so cells
     // that differ in it alone share one perfect-TLB baseline.
     perfect.except.idleThreads = 0;
-
-    PenaltyResult result;
-    if (!skip_baseline) {
-        result.perfect =
-            cachedRun(baselineKey(perfect, workloads),
-                      [&] { return runSimulation(perfect, workloads); });
-    }
-    // A perfect-TLB configuration *is* its own baseline — reuse it
-    // rather than simulating the identical machine twice.
-    if (!skip_baseline && params.except.mech == ExceptMech::PerfectTlb)
-        result.mech = result.perfect;
-    else
-        result.mech = runSimulation(params, workloads);
-    return result;
-}
-
-} // anonymous namespace
-
-PenaltyResult
-measurePenalty(const SimParams &params,
-               const std::vector<std::string> &benchmarks)
-{
-    return measureWith(params, benchmarks, false);
+    return perfect;
 }
 
 PenaltyResult
@@ -121,7 +79,20 @@ measurePenalty(const SimParams &params,
                const std::vector<WorkloadParams> &workloads,
                bool skipBaseline)
 {
-    return measureWith(params, workloads, skipBaseline);
+    PenaltyResult result;
+    if (!skipBaseline) {
+        SimParams perfect = baselineParams(params);
+        result.perfect = cachedRun(cellKey(perfect, workloads), [&] {
+            return runSimulation(perfect, workloads);
+        });
+    }
+    // A perfect-TLB configuration *is* its own baseline — reuse it
+    // rather than simulating the identical machine twice.
+    if (!skipBaseline && params.except.mech == ExceptMech::PerfectTlb)
+        result.mech = result.perfect;
+    else
+        result.mech = runSimulation(params, workloads);
+    return result;
 }
 
 void

@@ -9,15 +9,17 @@
  *    execution time attributable to TLB miss handling.
  *  - speedup over the traditional mechanism (Table 4).
  *
- * Perfect-TLB baselines are memoized per (workloads, full machine
- * configuration) so sweeps that share a baseline don't re-run it. The
- * cache key is SimParams::canonicalKey() — a serialization of *every*
- * simulation-relevant field — so configurations that differ in any
- * way (memory latencies, cache geometry, predictor shape, ...) can
- * never alias to a stale baseline. The cache is thread-safe: the
- * sweep runner (sim/sweep.hh) calls measurePenalty from worker
- * threads, and concurrent requests for the same baseline run it
- * exactly once (later requesters block on the first run's future).
+ * A cell is one (SimParams, workloads) pair, and cellKey() is its one
+ * identity. A cell's perfect-TLB baseline is the cell of
+ * baselineParams(params) on the same workloads; baselines are memoized
+ * by that cell's key, so sweeps that share a baseline don't re-run it.
+ * The key serializes *every* simulation-relevant field, so cells that
+ * differ in any way (memory latencies, cache geometry, predictor
+ * shape, ...) can never alias to a stale baseline. The cache is
+ * thread-safe: the sweep runner (sim/sweep.hh) calls measurePenalty
+ * from worker threads, and concurrent requests for the same baseline
+ * run it exactly once (later requesters block on the first run's
+ * future).
  */
 
 #ifndef ZMT_SIM_EXPERIMENT_HH
@@ -84,16 +86,29 @@ struct PenaltyResult
 };
 
 /**
- * Run @p params on @p benchmarks and pair it with the (memoized)
- * perfect-TLB baseline of the same machine shape.
+ * The identity of the cell @p params on @p workloads: the canonical
+ * key of the configuration and of each workload. Two cells with equal
+ * keys simulate identically; the baseline memo, the bench grid and
+ * sweepJobKey all key on it.
  */
-PenaltyResult measurePenalty(const SimParams &params,
-                             const std::vector<std::string> &benchmarks);
+std::string cellKey(const SimParams &params,
+                    const std::vector<WorkloadParams> &workloads);
 
-/** Same, for explicitly constructed workloads (e.g. custom emulation
- *  studies). @p skipBaseline skips the perfect-TLB run and leaves
- *  PenaltyResult::perfect zeroed for studies that only need the
- *  mechanism-under-test counters. */
+/**
+ * The configuration of @p params' perfect-TLB baseline: mech perfect,
+ * obs and ffwd.save cleared (a baseline writes no trace or checkpoint
+ * file) and idleThreads 0 (only the handler-thread mechanisms read
+ * it); every other field as given.
+ */
+SimParams baselineParams(const SimParams &params);
+
+/**
+ * Run @p params on @p workloads and pair it with the (memoized)
+ * perfect-TLB baseline, runSimulation(baselineParams(params),
+ * workloads). @p skipBaseline skips the baseline and leaves
+ * PenaltyResult::perfect zeroed for studies that only need the
+ * mechanism-under-test counters.
+ */
 PenaltyResult measurePenalty(const SimParams &params,
                              const std::vector<WorkloadParams> &workloads,
                              bool skipBaseline = false);

@@ -46,20 +46,6 @@ Simulator::Simulator(const SimParams &params,
 }
 
 Simulator::Simulator(const SimParams &params,
-                     const std::vector<std::string> &benchmarks)
-{
-    std::vector<WorkloadParams> workloads;
-    workloads.reserve(benchmarks.size());
-    for (size_t i = 0; i < benchmarks.size(); ++i) {
-        WorkloadParams wp = benchmarkParams(benchmarks[i]);
-        // Distinct seeds when the same benchmark appears twice in a mix.
-        wp.seed ^= uint64_t(i) * 0x2545f4914f6cdd1dULL;
-        workloads.push_back(wp);
-    }
-    build(params, workloads);
-}
-
-Simulator::Simulator(const SimParams &params,
                      const CheckpointData &checkpoint)
 {
     tuneAllocatorOnce();
@@ -463,34 +449,15 @@ Simulator::flushObsExportsBestEffort() const
     }
 }
 
-namespace
-{
-
-CoreResult
-runChecked(Simulator &sim)
-{
-    CoreResult result = sim.run();
-    fatal_if(!result.ok(), "simulation failed (%s): %s",
-             runStatusName(result.status), result.error.c_str());
-    return result;
-}
-
-} // anonymous namespace
-
-CoreResult
-runSimulation(const SimParams &params,
-              const std::vector<std::string> &benchmarks)
-{
-    Simulator sim(params, benchmarks);
-    return runChecked(sim);
-}
-
 CoreResult
 runSimulation(const SimParams &params,
               const std::vector<WorkloadParams> &workloads)
 {
     Simulator sim(params, workloads);
-    return runChecked(sim);
+    CoreResult result = sim.run();
+    fatal_if(!result.ok(), "simulation failed (%s): %s",
+             runStatusName(result.status), result.error.c_str());
+    return result;
 }
 
 } // namespace zmt

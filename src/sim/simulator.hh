@@ -1,9 +1,10 @@
 /**
  * @file
  * The top-level simulation facade: builds a complete system (physical
- * memory, PALcode, processes, SMT core) from parameters and workload
- * names, runs it, and exposes the results — the public entry point
- * used by examples, benches and integration tests.
+ * memory, PALcode, processes, SMT core) from parameters and workloads,
+ * runs it, and exposes the results — the public entry point used by
+ * examples, benches and integration tests. Benchmark names become
+ * workloads through benchmarkWorkloads (wload/workload.hh).
  */
 
 #ifndef ZMT_SIM_SIMULATOR_HH
@@ -37,10 +38,6 @@ class Simulator
     Simulator(const SimParams &params,
               const std::vector<WorkloadParams> &workloads);
 
-    /** Convenience: build from benchmark names. */
-    Simulator(const SimParams &params,
-              const std::vector<std::string> &benchmarks);
-
     /** Build directly from an in-memory checkpoint (the sampling
      *  driver's per-sample probe path). */
     Simulator(const SimParams &params, const CheckpointData &checkpoint);
@@ -72,8 +69,8 @@ class Simulator
     unsigned numProcesses() const { return unsigned(procs.size()); }
     const PalCode &palCode() const { return pal; }
 
-    /** The resolved (seed-salted) workload of process @p i — what a
-     *  functional replay must build to match (verify/diffcheck). */
+    /** The workload of process @p i — what a functional replay must
+     *  build to match (verify/diffcheck). */
     const WorkloadParams &workload(unsigned i) const { return wloads.at(i); }
 
     /** Dump all statistics as text. */
@@ -141,10 +138,6 @@ class Simulator
  * does not complete (livelock / invariant violation) — callers that
  * want to handle errors gracefully use Simulator::run directly.
  */
-CoreResult runSimulation(const SimParams &params,
-                         const std::vector<std::string> &benchmarks);
-
-/** Same, for explicitly constructed workloads. */
 CoreResult runSimulation(const SimParams &params,
                          const std::vector<WorkloadParams> &workloads);
 

@@ -159,12 +159,9 @@ emitSweepCell(std::ostream &os, size_t index, const SweepJob &job,
     const PenaltyResult &r = outcome.result;
     os << "{\"index\":" << index << ",\"label\":\""
        << jsonEscape(job.label) << "\",\"benchmarks\":[";
-    for (size_t i = 0; i < job.benchmarks.size(); ++i)
-        os << (i ? "," : "") << "\"" << jsonEscape(job.benchmarks[i])
-           << "\"";
     for (size_t i = 0; i < job.workloads.size(); ++i)
-        os << (i || !job.benchmarks.empty() ? "," : "") << "\""
-           << jsonEscape(job.workloads[i].name) << "\"";
+        os << (i ? "," : "") << "\"" << jsonEscape(job.workloads[i].name)
+           << "\"";
     os << "],\"penalty_per_miss\":" << jsonNumber(r.penaltyPerMiss())
        << ",\"tlb_fraction\":" << jsonNumber(r.tlbFraction())
        << ",\"ipc\":" << jsonNumber(r.mech.ipc)

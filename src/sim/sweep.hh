@@ -10,9 +10,8 @@
  * pool and keeps results in submission order, so a parallel sweep's
  * output is byte-identical to a serial one. Perfect-TLB baselines are
  * memoized process-wide behind the thread-safe cache in
- * sim/experiment.cc, keyed by the canonical full serialization of
- * SimParams (see SimParams::canonicalKey), so concurrent jobs that
- * share a baseline run it exactly once.
+ * sim/experiment.cc, keyed by the baseline cell's cellKey, so
+ * concurrent jobs that share a baseline run it exactly once.
  *
  * emitSweepCell writes one cell of the machine-readable results
  * document (results/bench_<name>.json): penalty, speedup inputs, miss
@@ -40,22 +39,9 @@ namespace zmt
 struct SweepJob
 {
     SimParams params;
-    std::vector<std::string> benchmarks; //!< named benchmarks, or
-    std::vector<WorkloadParams> workloads; //!< explicit workloads
-    std::string label;                   //!< e.g. "fig5/traditional/gcc"
-    bool skipBaseline = false;           //!< no perfect-TLB companion run
-
-    SweepJob() = default;
-    SweepJob(SimParams p, std::vector<std::string> benches,
-             std::string l)
-        : params(std::move(p)), benchmarks(std::move(benches)),
-          label(std::move(l))
-    {}
-    SweepJob(SimParams p, std::vector<WorkloadParams> wls, std::string l,
-             bool skip_baseline = false)
-        : params(std::move(p)), workloads(std::move(wls)),
-          label(std::move(l)), skipBaseline(skip_baseline)
-    {}
+    std::vector<WorkloadParams> workloads;
+    std::string label;         //!< e.g. "fig5/traditional/gcc"
+    bool skipBaseline = false; //!< no perfect-TLB companion run
 };
 
 /** A job's measurement plus its host-side cost. */
@@ -128,8 +114,8 @@ parseUnsigned(const char *flag, const char *value)
  * Emit one result cell, an element of the "cells" array of the
  * zmt-sweep-results-v1 document (see campaignResultsJson):
  *
- *   { "index", "label", "benchmarks", "penalty_per_miss",
- *     "tlb_fraction", "ipc", "misses_per_kinst",
+ *   { "index", "label", "benchmarks" (the workloads' names),
+ *     "penalty_per_miss", "tlb_fraction", "ipc", "misses_per_kinst",
  *     "mech": {status,cycles,user_insts,tlb_misses,emulations,
  *              measured_cycles,measured_insts,measured_misses,ipc,...},
  *     "perfect": {...} | null, "wall_seconds", "failure",
@@ -139,14 +125,14 @@ parseUnsigned(const char *flag, const char *value)
  * writeSweepOutcome uses.
  *
  * "params" carries the exact configuration via SimParams::forEachParam,
- * so a cell of named benchmarks re-runs bit-identically as
- * `zmt_sim <params as key=value> <benchmarks>` (the CI debug leg checks
- * every fig5 cell); custom workloads are recorded by name only. Every
- * cell carries its submission "index" so shard/resume outputs merge
- * back into submission order (tools/sweep_merge), and a "failure"
- * member — @p failureJson is "null" for a clean run or a structured
- * object from the campaign layer for a cell whose isolated child
- * crashed or timed out. @p nullPerfect forces "perfect":null (used for
+ * so a cell whose workloads are benchmarkWorkloads(names) re-runs
+ * bit-identically as `zmt_sim <params as key=value> <names>` (the CI
+ * debug leg checks every fig5 cell); other workloads are recorded by
+ * name only. Every cell carries its submission "index" so shard/resume
+ * outputs merge back into submission order (tools/sweep_merge), and a
+ * "failure" member — @p failureJson is "null" for a clean run or a
+ * structured object from the campaign layer for a cell whose isolated
+ * child crashed or timed out. @p nullPerfect forces "perfect":null (used for
  * failed cells, where no baseline exists, in addition to the
  * skipBaseline case).
  */

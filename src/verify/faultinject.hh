@@ -40,8 +40,7 @@ namespace zmt
 class FaultInjector : public stats::StatGroup
 {
   public:
-    FaultInjector(const VerifyParams &params, uint64_t sim_seed,
-                  stats::StatGroup *parent);
+    FaultInjector(const VerifyParams &params, stats::StatGroup *parent);
 
     /** spawnMtHandler: pretend no idle context exists this time? */
     bool stealIdleContext();

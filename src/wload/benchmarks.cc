@@ -183,6 +183,17 @@ benchmarkParams(const std::string &name)
     return WorkloadParams{};
 }
 
+std::vector<WorkloadParams>
+benchmarkWorkloads(const std::vector<std::string> &names)
+{
+    std::vector<WorkloadParams> workloads;
+    for (size_t i = 0; i < names.size(); ++i) {
+        workloads.push_back(benchmarkParams(names[i]));
+        workloads.back().seed ^= uint64_t(i) * 0x2545f4914f6cdd1dULL;
+    }
+    return workloads;
+}
+
 const std::vector<std::string> &
 benchmarkNames()
 {

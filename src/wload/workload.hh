@@ -109,6 +109,15 @@ ProcessImage buildWorkload(const WorkloadParams &params);
 /** Parameters for one of the paper's benchmarks ("compress", ...). */
 WorkloadParams benchmarkParams(const std::string &name);
 
+/**
+ * The workloads of a run of named benchmarks, the one place a list of
+ * names becomes a cell's workloads: each name's preset, with the seed
+ * of position i > 0 salted by i, so a mix that repeats a benchmark
+ * runs distinct streams. A single or first name keeps its preset.
+ */
+std::vector<WorkloadParams>
+benchmarkWorkloads(const std::vector<std::string> &names);
+
 /** All eight benchmark names in the paper's order. */
 const std::vector<std::string> &benchmarkNames();
 

@@ -52,10 +52,10 @@ tinyJobList()
          {ExceptMech::Traditional, ExceptMech::Multithreaded,
           ExceptMech::Hardware}) {
         jobs.emplace_back(tinyParams(mech),
-                          std::vector<std::string>{"compress"},
+                          benchmarkWorkloads({"compress"}),
                           std::string("compress/") + mechName(mech));
         jobs.emplace_back(tinyParams(mech),
-                          std::vector<std::string>{"murphi"},
+                          benchmarkWorkloads({"murphi"}),
                           std::string("murphi/") + mechName(mech));
     }
     return jobs;
@@ -113,11 +113,11 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
 {
     const char *raw[] = {"bench",          "--isolate", "--timeout",
                          "2.5",            "keep1",     "--retries=3",
-                         "--backoff",      "0.25",      "--shard",
-                         "1/4",            "--journal", "j.path",
-                         "--resume=r.path", "keep2",    nullptr};
-    char *argv[15];
-    int argc = 14;
+                         "--shard",        "1/4",       "--journal",
+                         "j.path",         "--resume=r.path", "keep2",
+                         nullptr};
+    char *argv[13];
+    int argc = 12;
     for (int i = 0; i < argc; ++i)
         argv[i] = const_cast<char *>(raw[i]);
     argv[argc] = nullptr;
@@ -128,7 +128,6 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
     EXPECT_TRUE(opts.isolate);
     EXPECT_DOUBLE_EQ(opts.timeoutSeconds, 2.5);
     EXPECT_EQ(opts.retries, 3u);
-    EXPECT_DOUBLE_EQ(opts.backoffSeconds, 0.25);
     EXPECT_EQ(opts.shardIndex, 1u);
     EXPECT_EQ(opts.shardCount, 4u);
     EXPECT_EQ(opts.journalPath, "j.path");
@@ -176,6 +175,29 @@ TEST(CampaignFlagsDeathTest, RejectsMalformedShard)
         CampaignOptions opts;
         EXPECT_DEATH(parseCampaignFlags(argc, argv, opts), "bad --shard")
             << shard;
+    }
+}
+
+TEST(CampaignFlagsDeathTest, RejectsUnboundedTimeout)
+{
+    EXPECT_EQ(parseSeconds("0"), 0.0);
+    EXPECT_EQ(parseSeconds("600"), 600.0);
+    EXPECT_EQ(parseSeconds("1.5e3"), 1500.0);
+    EXPECT_EQ(parseSeconds("2000000"), MaxBudgetSeconds);
+    // An infinite or huge budget would overflow poll()'s int
+    // milliseconds; the rest are not plain decimal seconds.
+    for (const char *timeout : {"inf", "-inf", "nan", "1e400", "2000001",
+                                "0x10", " 5", "5 ", "-1", "", "5s"}) {
+        const char *raw[] = {"bench", "--timeout", timeout, nullptr};
+        char *argv[4];
+        int argc = 3;
+        for (int i = 0; i < argc; ++i)
+            argv[i] = const_cast<char *>(raw[i]);
+        argv[argc] = nullptr;
+        CampaignOptions opts;
+        EXPECT_DEATH(parseCampaignFlags(argc, argv, opts),
+                     "bad --timeout value '" + std::string(timeout) + "'")
+            << timeout;
     }
 }
 
@@ -455,17 +477,18 @@ TEST(Journal, MidFileCorruptionRejected)
 
 TEST(Journal, RejectsForeignFile)
 {
-    // A results document, and a journal of the token-line format
-    // before v2: neither is read as records.
+    // A results document, a journal of the token-line format before
+    // v2, and a v2 journal, whose cell keys spelled workloads by name:
+    // none is read as records.
     const std::string path = tempPath("foreign.journal");
     for (const char *content :
          {"{\"schema\":\"zmt-sweep-results-v1\"}\n",
-          "zmt-journal-v1\n"}) {
+          "zmt-journal-v1\n", "zmt-journal-v2\n"}) {
         writeFile(path, content);
         std::vector<JournalRecord> records;
         std::string error;
         EXPECT_FALSE(loadJournal(path, &records, &error)) << content;
-        EXPECT_NE(error.find("zmt-journal-v2"), std::string::npos)
+        EXPECT_NE(error.find("zmt-journal-v3"), std::string::npos)
             << error;
     }
 }
@@ -552,7 +575,7 @@ TEST(Campaign, PlainRunMatchesSweepRunner)
     ASSERT_EQ(campaign.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         PenaltyResult direct =
-            measurePenalty(jobs[i].params, jobs[i].benchmarks);
+            measurePenalty(jobs[i].params, jobs[i].workloads);
         EXPECT_EQ(campaign[i].state, CellState::Done);
         EXPECT_EQ(campaign[i].outcome.result.mech.cycles,
                   direct.mech.cycles)
@@ -681,7 +704,6 @@ TEST(Campaign, IsolatedPanicIsContainedAndQuarantined)
     CampaignOptions opts;
     opts.isolate = true;
     opts.retries = 2;
-    opts.backoffSeconds = 0.01;
     clearBaselineCache();
     std::vector<CampaignOutcome> outcomes =
         CampaignRunner(opts, 2).run(jobs);

@@ -74,7 +74,7 @@ makeCheckpoint(const std::string &name, uint64_t insts = 12000)
     SimParams params;
     params.ffwd.insts = insts;
     params.ffwd.save = path;
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     EXPECT_EQ(sim.ffwdExecuted(), insts);
     return path;
 }
@@ -114,8 +114,8 @@ smallCheckpoint()
 TEST(Ffwd, RunFastMatchesStepExactly)
 {
     SimParams params;
-    Simulator ref(params, std::vector<std::string>{"compress"});
-    Simulator fast(params, std::vector<std::string>{"compress"});
+    Simulator ref(params, benchmarkWorkloads({"compress"}));
+    Simulator fast(params, benchmarkWorkloads({"compress"}));
 
     FuncMachine refMachine(ref.process(0), ref.mem());
     FuncMachine fastMachine(fast.process(0), fast.mem());
@@ -145,8 +145,8 @@ TEST(Ffwd, RunFastMatchesStepExactly)
 TEST(Ffwd, WarmTraceIsPurelyObservational)
 {
     SimParams params;
-    Simulator plain(params, std::vector<std::string>{"murphi"});
-    Simulator traced(params, std::vector<std::string>{"murphi"});
+    Simulator plain(params, benchmarkWorkloads({"murphi"}));
+    Simulator traced(params, benchmarkWorkloads({"murphi"}));
 
     SuperblockCache blocksA, blocksB;
     FuncMachine plainMachine(plain.process(0), plain.mem());
@@ -397,7 +397,7 @@ TEST(Checkpoint, RestoreMatchesStraightRunEveryMechanism)
         SimParams straightParams = run;
         straightParams.ffwd.insts = ffwd;
         Simulator straight(straightParams,
-                           std::vector<std::string>{"compress"});
+                           benchmarkWorkloads({"compress"}));
         CoreResult rs = straight.run();
         ASSERT_TRUE(rs.ok()) << mechName(mech) << ": " << rs.error;
 
@@ -450,7 +450,7 @@ expectMixRestoreMatchesStraight(const std::vector<std::string> &benches,
     SimParams straightParams = run;
     straightParams.ffwd.insts = 30000;
     straightParams.ffwd.save = path;
-    Simulator straight(straightParams, benches);
+    Simulator straight(straightParams, benchmarkWorkloads(benches));
     CoreResult rs = straight.run();
     ASSERT_TRUE(rs.ok()) << rs.error;
 
@@ -634,7 +634,7 @@ TEST(Sampling, AggregatesAndIsDeterministic)
     params.except.mech = ExceptMech::Traditional;
 
     auto runOnce = [&] {
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         return sim.run();
     };
     CoreResult a = runOnce();
@@ -670,7 +670,8 @@ TEST(Sampling, SampledIpcTracksFullDetailedRun)
     detailed.maxInsts = 100000;
     detailed.warmupInsts = 10000;
     detailed.except.mech = ExceptMech::Multithreaded;
-    CoreResult full = runSimulation(detailed, {"compress"});
+    CoreResult full =
+        runSimulation(detailed, benchmarkWorkloads({"compress"}));
     ASSERT_TRUE(full.ok());
 
     SimParams sampled;
@@ -679,7 +680,7 @@ TEST(Sampling, SampledIpcTracksFullDetailedRun)
     sampled.sample.detailInsts = 2000;
     sampled.sample.warmupInsts = 1000;
     sampled.except.mech = ExceptMech::Multithreaded;
-    Simulator sim(sampled, std::vector<std::string>{"compress"});
+    Simulator sim(sampled, benchmarkWorkloads({"compress"}));
     CoreResult est = sim.run();
     ASSERT_TRUE(est.ok()) << est.error;
     ASSERT_EQ(est.sampling.samples, 10u);

@@ -59,7 +59,7 @@ TEST_P(GoldenModelTest, RetiredStoreStreamMatchesFunctionalRun)
     auto [mech, bench] = GetParam();
     SimParams params = smallParams(mech, 30000);
 
-    Simulator sim(params, std::vector<std::string>{bench});
+    Simulator sim(params, benchmarkWorkloads({bench}));
     sim.run();
 
     uint64_t retired = sim.core().retiredUserInsts(0);
@@ -93,7 +93,8 @@ class SmtMixTest : public ::testing::TestWithParam<ExceptMech>
 TEST_P(SmtMixTest, EveryThreadMatchesItsGolden)
 {
     SimParams params = smallParams(GetParam(), 45000);
-    std::vector<std::string> mix = {"compress", "murphi", "vortex"};
+    const std::vector<WorkloadParams> mix =
+        benchmarkWorkloads({"compress", "murphi", "vortex"});
 
     Simulator sim(params, mix);
     sim.run();
@@ -101,11 +102,9 @@ TEST_P(SmtMixTest, EveryThreadMatchesItsGolden)
     for (unsigned i = 0; i < mix.size(); ++i) {
         uint64_t retired = sim.core().retiredUserInsts(i);
         EXPECT_GT(retired, 1000u) << "thread " << i << " starved";
-        WorkloadParams wp = benchmarkParams(mix[i]);
-        wp.seed ^= uint64_t(i) * 0x2545f4914f6cdd1dULL; // Simulator's salt
-        ArchResult golden = goldenRun(wp, retired);
+        ArchResult golden = goldenRun(mix[i], retired);
         EXPECT_EQ(sim.core().retiredStoreHash(i), golden.storeHash)
-            << "thread " << i << " (" << mix[i] << ") under "
+            << "thread " << i << " (" << mix[i].name << ") under "
             << mechName(GetParam());
     }
 }
@@ -124,8 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Core, DeterministicCycleCounts)
 {
     SimParams params = smallParams(ExceptMech::Multithreaded, 25000);
-    CoreResult a = runSimulation(params, {"compress"});
-    CoreResult b = runSimulation(params, {"compress"});
+    CoreResult a = runSimulation(params, benchmarkWorkloads({"compress"}));
+    CoreResult b = runSimulation(params, benchmarkWorkloads({"compress"}));
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.tlbMisses, b.tlbMisses);
 }
@@ -150,7 +149,7 @@ stat(const Simulator &sim, const std::string &path)
 TEST(Mechanism, PerfectTlbNeverMisses)
 {
     Simulator sim(smallParams(ExceptMech::PerfectTlb),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     EXPECT_EQ(result.tlbMisses, 0u);
     EXPECT_EQ(stat(sim, "tlbMissesSeen"), 0.0);
@@ -160,7 +159,7 @@ TEST(Mechanism, PerfectTlbNeverMisses)
 TEST(Mechanism, TraditionalTrapsAndRunsPal)
 {
     Simulator sim(smallParams(ExceptMech::Traditional),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     EXPECT_GT(result.tlbMisses, 10u);
     EXPECT_GT(stat(sim, "trapSquashes"), 0.0);
@@ -174,7 +173,7 @@ TEST(Mechanism, TraditionalTrapsAndRunsPal)
 TEST(Mechanism, MultithreadedSpawnsAndSplices)
 {
     Simulator sim(smallParams(ExceptMech::Multithreaded),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     EXPECT_GT(result.tlbMisses, 10u);
     EXPECT_GT(stat(sim, "mtSpawns"), 0.0);
@@ -188,7 +187,7 @@ TEST(Mechanism, MultithreadedSpawnsAndSplices)
 TEST(Mechanism, HardwareWalksWithoutFetchingHandlers)
 {
     Simulator sim(smallParams(ExceptMech::Hardware),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     EXPECT_GT(result.tlbMisses, 10u);
     // No handler instructions are ever fetched.
@@ -199,7 +198,7 @@ TEST(Mechanism, HardwareWalksWithoutFetchingHandlers)
 TEST(Mechanism, QuickStartWarmsTheBuffer)
 {
     Simulator sim(smallParams(ExceptMech::QuickStart),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     sim.run();
     EXPECT_GT(stat(sim, "qsWarmStarts"), 0.0);
     // Warm + cold must equal the spawns.
@@ -214,9 +213,9 @@ TEST(Mechanism, MoreIdleThreadsReduceFallbacks)
     SimParams three = one;
     three.except.idleThreads = 3;
 
-    Simulator sim1(one, std::vector<std::string>{"compress"});
+    Simulator sim1(one, benchmarkWorkloads({"compress"}));
     sim1.run();
-    Simulator sim3(three, std::vector<std::string>{"compress"});
+    Simulator sim3(three, benchmarkWorkloads({"compress"}));
     sim3.run();
     EXPECT_LE(stat(sim3, "mtFallbacks"), stat(sim1, "mtFallbacks"));
 }
@@ -226,14 +225,14 @@ TEST(Mechanism, RelinkOccursWithSecondaryMisses)
     // compress has page-dense far accesses: over a long enough run,
     // out-of-order detection of same-page misses re-links handlers.
     SimParams params = smallParams(ExceptMech::Multithreaded, 150000);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     sim.run();
     EXPECT_GE(stat(sim, "relinks"), 0.0); // presence of the stat
     // The relink-disabled configuration must still be correct
     // (covered by GoldenModelTest) and must not relink.
     SimParams off = params;
     off.except.relinkSecondaryMiss = false;
-    Simulator sim2(off, std::vector<std::string>{"compress"});
+    Simulator sim2(off, benchmarkWorkloads({"compress"}));
     sim2.run();
     EXPECT_EQ(stat(sim2, "relinks"), 0.0);
 }
@@ -241,7 +240,7 @@ TEST(Mechanism, RelinkOccursWithSecondaryMisses)
 TEST(Mechanism, HandlerLengthMatchesReservation)
 {
     Simulator sim(smallParams(ExceptMech::Multithreaded),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     // retiredPal == handlings * handler length (common path only).
     EXPECT_EQ(stat(sim, "retiredPal"),
@@ -253,7 +252,7 @@ TEST(Mechanism, NoHardReversionsOnCorrectPathOnlyWorkloads)
     // compress has no wild wrong paths (no indirect far jumps), so the
     // page-fault reversion path must stay quiet.
     Simulator sim(smallParams(ExceptMech::Multithreaded),
-                  std::vector<std::string>{"compress"});
+                  benchmarkWorkloads({"compress"}));
     sim.run();
     EXPECT_EQ(stat(sim, "hardReverts"), 0.0);
 }
@@ -261,7 +260,7 @@ TEST(Mechanism, NoHardReversionsOnCorrectPathOnlyWorkloads)
 TEST(Mechanism, WrongPathMissesDetectedOnGcc)
 {
     Simulator sim(smallParams(ExceptMech::Hardware, 120000),
-                  std::vector<std::string>{"gcc"});
+                  benchmarkWorkloads({"gcc"}));
     CoreResult result = sim.run();
     // gcc's indirect far jumps produce speculative misses beyond the
     // retired count (paper Section 5.3).
@@ -279,12 +278,15 @@ TEST(Penalty, OrderingOnCompress)
     params.maxInsts = 250000;
     params.warmupInsts = 100000;
 
+    const std::vector<WorkloadParams> compress =
+        benchmarkWorkloads({"compress"});
+
     params.except.mech = ExceptMech::Traditional;
-    double trad = measurePenalty(params, {"compress"}).penaltyPerMiss();
+    double trad = measurePenalty(params, compress).penaltyPerMiss();
     params.except.mech = ExceptMech::Multithreaded;
-    double mt = measurePenalty(params, {"compress"}).penaltyPerMiss();
+    double mt = measurePenalty(params, compress).penaltyPerMiss();
     params.except.mech = ExceptMech::Hardware;
-    double hw = measurePenalty(params, {"compress"}).penaltyPerMiss();
+    double hw = measurePenalty(params, compress).penaltyPerMiss();
 
     // Traditional >> multithreaded > hardware > 0 (paper Figure 5).
     EXPECT_GT(trad, mt);
@@ -302,10 +304,13 @@ TEST(Penalty, DeeperPipesCostMore)
     params.warmupInsts = 100000;
     params.except.mech = ExceptMech::Traditional;
 
+    const std::vector<WorkloadParams> compress =
+        benchmarkWorkloads({"compress"});
+
     params.core.setFrontendDepth(3);
-    double shallow = measurePenalty(params, {"compress"}).penaltyPerMiss();
+    double shallow = measurePenalty(params, compress).penaltyPerMiss();
     params.core.setFrontendDepth(11);
-    double deep = measurePenalty(params, {"compress"}).penaltyPerMiss();
+    double deep = measurePenalty(params, compress).penaltyPerMiss();
     EXPECT_GT(deep, shallow); // paper Figure 2
 }
 
@@ -352,7 +357,7 @@ TEST(Core, LimitStudiesRunAndStayCorrect)
           "except.freeHandlerFetchBw", "except.instantHandlerFetch"}) {
         SimParams params = smallParams(ExceptMech::Multithreaded, 25000);
         params.set(toggle, "1");
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         sim.run();
 
         uint64_t retired = sim.core().retiredUserInsts(0);
@@ -372,7 +377,7 @@ TEST(Core, InstantFetchWithThreeHandlersStaysCorrect)
     SimParams params = smallParams(ExceptMech::Multithreaded, 100000);
     params.except.idleThreads = 3;
     params.except.instantHandlerFetch = true;
-    Simulator sim(params, std::vector<std::string>{"deltablue"});
+    Simulator sim(params, benchmarkWorkloads({"deltablue"}));
     CoreResult result = sim.run();
     EXPECT_EQ(result.status, RunStatus::Ok) << result.error;
 
@@ -388,7 +393,7 @@ TEST(Core, DesignOptionTogglesStayCorrect)
           "except.relinkSecondaryMiss"}) {
         SimParams params = smallParams(ExceptMech::Multithreaded, 25000);
         params.set(toggle, "0");
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         sim.run();
 
         uint64_t retired = sim.core().retiredUserInsts(0);
@@ -404,7 +409,8 @@ TEST(Core, WidthSweepRunsAllPoints)
     for (unsigned width : {2u, 4u, 8u}) {
         SimParams params = smallParams(ExceptMech::Traditional, 20000);
         params.core.setWidth(width);
-        CoreResult result = runSimulation(params, {"murphi"});
+        CoreResult result =
+            runSimulation(params, benchmarkWorkloads({"murphi"}));
         EXPECT_GE(result.userInsts, 20000u) << "width " << width;
         EXPECT_LE(result.ipc, double(width)) << "width " << width;
     }
@@ -416,7 +422,8 @@ TEST(Core, DepthSweepRunsAllPoints)
         SimParams params = smallParams(ExceptMech::Traditional, 20000);
         params.core.setFrontendDepth(depth);
         EXPECT_EQ(params.core.frontendDepth(), depth);
-        CoreResult result = runSimulation(params, {"murphi"});
+        CoreResult result =
+            runSimulation(params, benchmarkWorkloads({"murphi"}));
         EXPECT_GE(result.userInsts, 20000u) << "depth " << depth;
     }
 }
@@ -425,7 +432,8 @@ TEST(Core, WarmupWindowAccounting)
 {
     SimParams params = smallParams(ExceptMech::Traditional, 30000);
     params.warmupInsts = 10000;
-    CoreResult result = runSimulation(params, {"compress"});
+    CoreResult result =
+        runSimulation(params, benchmarkWorkloads({"compress"}));
     // Retirement is bursty, so the run can overshoot by a few
     // instructions past the budget.
     EXPECT_GE(result.measuredInsts, 20000u);
@@ -442,7 +450,8 @@ TEST(Core, WarmupNeverFinishedReportsNoWindow)
     // report a zero measured window instead of warm-up-skewed numbers.
     SimParams params = smallParams(ExceptMech::Traditional, 20000);
     params.warmupInsts = 100000;
-    CoreResult result = runSimulation(params, {"compress"});
+    CoreResult result =
+        runSimulation(params, benchmarkWorkloads({"compress"}));
     EXPECT_TRUE(result.ok());
     EXPECT_FALSE(result.warmedUp);
     EXPECT_EQ(result.measuredInsts, 0u);
@@ -470,7 +479,7 @@ TEST(Invariants, WindowOccupancyNeverExceedsCapacity)
          {ExceptMech::Traditional, ExceptMech::Multithreaded,
           ExceptMech::Hardware}) {
         SimParams params = smallParams(mech, 30000);
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         sim.run();
         const stats::Distribution *occ =
             distribution(sim, "windowOccupancy");
@@ -485,7 +494,7 @@ TEST(Invariants, IssueRateBoundedByWidth)
 {
     SimParams params = smallParams(ExceptMech::Traditional, 30000);
     params.core.setWidth(4);
-    Simulator sim(params, std::vector<std::string>{"murphi"});
+    Simulator sim(params, benchmarkWorkloads({"murphi"}));
     sim.run();
     const stats::StatBase *s = sim.statsRoot().find("core.issuedPerCycle");
     const auto *avg = dynamic_cast<const stats::Average *>(s);
@@ -497,7 +506,7 @@ TEST(Invariants, IssueRateBoundedByWidth)
 TEST(Invariants, DumpStateIsWellFormed)
 {
     SimParams params = smallParams(ExceptMech::Multithreaded, 5000);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     sim.run();
     std::ostringstream os;
     sim.core().dumpState(os);
@@ -516,7 +525,7 @@ TEST(Invariants, DumpStateMidFlight)
          {ExceptMech::Traditional, ExceptMech::Multithreaded,
           ExceptMech::QuickStart, ExceptMech::Hardware}) {
         SimParams params = smallParams(mech, 30000);
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         // Stop at several depths: mid-warmup, and deep enough that
         // misses (and their handler threads / walks) are in flight.
         for (unsigned target : {50u, 500u, 5000u}) {
@@ -535,7 +544,7 @@ TEST(Invariants, DumpStateMidFlight)
 TEST(Invariants, FetchedAtLeastRetired)
 {
     SimParams params = smallParams(ExceptMech::Traditional, 20000);
-    Simulator sim(params, std::vector<std::string>{"vortex"});
+    Simulator sim(params, benchmarkWorkloads({"vortex"}));
     CoreResult result = sim.run();
     EXPECT_GE(stat(sim, "fetchedInsts"),
               double(result.userInsts) + stat(sim, "retiredPal"));
@@ -549,7 +558,7 @@ TEST(Invariants, TlbHoldsAtMostItsCapacity)
 {
     SimParams params = smallParams(ExceptMech::Traditional, 20000);
     params.tlb.dtlbEntries = 8;
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     sim.run();
     EXPECT_LE(sim.core().dtlb().validCount(), 8u);
     EXPECT_GT(stat(sim, "dtlb.evictions"), 0.0);
@@ -562,9 +571,11 @@ TEST(Invariants, SmallTlbMissesMoreThanLargeTlb)
     // eventually hold the whole footprint.
     SimParams params = smallParams(ExceptMech::Traditional, 150000);
     params.tlb.dtlbEntries = 16;
-    CoreResult small_tlb = runSimulation(params, {"compress"});
+    CoreResult small_tlb =
+        runSimulation(params, benchmarkWorkloads({"compress"}));
     params.tlb.dtlbEntries = 1024;
-    CoreResult large_tlb = runSimulation(params, {"compress"});
+    CoreResult large_tlb =
+        runSimulation(params, benchmarkWorkloads({"compress"}));
     EXPECT_GT(double(small_tlb.tlbMisses),
               1.3 * double(large_tlb.tlbMisses));
 }
@@ -572,7 +583,7 @@ TEST(Invariants, SmallTlbMissesMoreThanLargeTlb)
 TEST(Invariants, HandlerDutyCycleIsBounded)
 {
     SimParams params = smallParams(ExceptMech::Multithreaded, 60000);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     double duty = stat(sim, "handlerActiveCycles") / double(result.cycles);
     EXPECT_GT(duty, 0.0);

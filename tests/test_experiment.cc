@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,9 +56,9 @@ TEST(Experiment, BaselineIsMemoized)
     params.maxInsts = 15000;
     params.except.mech = ExceptMech::Traditional;
 
-    PenaltyResult a = measurePenalty(params, {"compress"});
+    PenaltyResult a = measurePenalty(params, benchmarkWorkloads({"compress"}));
     params.except.mech = ExceptMech::Hardware;
-    PenaltyResult b = measurePenalty(params, {"compress"});
+    PenaltyResult b = measurePenalty(params, benchmarkWorkloads({"compress"}));
     // Identical baseline object values: the perfect run was reused.
     EXPECT_EQ(a.perfect.cycles, b.perfect.cycles);
     EXPECT_EQ(a.perfect.userInsts, b.perfect.userInsts);
@@ -69,9 +70,11 @@ TEST(Experiment, DifferentShapesGetDifferentBaselines)
     SimParams params;
     params.maxInsts = 15000;
     params.except.mech = ExceptMech::Traditional;
-    PenaltyResult wide = measurePenalty(params, {"murphi"});
+    PenaltyResult wide =
+        measurePenalty(params, benchmarkWorkloads({"murphi"}));
     params.core.setWidth(2);
-    PenaltyResult narrow = measurePenalty(params, {"murphi"});
+    PenaltyResult narrow =
+        measurePenalty(params, benchmarkWorkloads({"murphi"}));
     EXPECT_NE(wide.perfect.cycles, narrow.perfect.cycles);
 }
 
@@ -139,10 +142,12 @@ TEST(Experiment, OmittedFieldMutationGetsFreshBaseline)
     params.maxInsts = 15000;
     params.except.mech = ExceptMech::Traditional;
 
-    PenaltyResult fast = measurePenalty(params, {"compress"});
+    PenaltyResult fast =
+        measurePenalty(params, benchmarkWorkloads({"compress"}));
     EXPECT_EQ(baselineCacheSize(), 1u);
     params.mem.memLatency = 400;
-    PenaltyResult slow = measurePenalty(params, {"compress"});
+    PenaltyResult slow =
+        measurePenalty(params, benchmarkWorkloads({"compress"}));
     EXPECT_EQ(baselineCacheSize(), 2u);
     EXPECT_NE(fast.perfect.measuredCycles, slow.perfect.measuredCycles);
 }
@@ -155,7 +160,7 @@ TEST(Experiment, PerfectTlbMechReusesBaseline)
     SimParams params;
     params.maxInsts = 15000;
     params.except.mech = ExceptMech::PerfectTlb;
-    PenaltyResult r = measurePenalty(params, {"compress"});
+    PenaltyResult r = measurePenalty(params, benchmarkWorkloads({"compress"}));
     EXPECT_EQ(baselineCacheSize(), 1u);
     EXPECT_EQ(r.mech.cycles, r.perfect.cycles);
     EXPECT_DOUBLE_EQ(r.penaltyPerMiss(), 0.0);
@@ -180,11 +185,13 @@ TEST(Experiment, IdleThreadCountsShareOneBaseline)
         params.maxInsts = 15000;
         params.except.mech = mech;
         params.except.idleThreads = idle;
-        PenaltyResult r = measurePenalty(params, {"compress"});
+        PenaltyResult r =
+            measurePenalty(params, benchmarkWorkloads({"compress"}));
 
         SimParams perfect = params;
         perfect.except.mech = ExceptMech::PerfectTlb;
-        CoreResult fresh = runSimulation(perfect, {"compress"});
+        CoreResult fresh =
+            runSimulation(perfect, benchmarkWorkloads({"compress"}));
         std::string cell = std::string(mechName(mech)) + "/" +
                            std::to_string(idle);
         EXPECT_TRUE(r.perfect.ok()) << cell;
@@ -195,6 +202,92 @@ TEST(Experiment, IdleThreadCountsShareOneBaseline)
         EXPECT_EQ(r.perfect.ipc, fresh.ipc) << cell;
     }
     EXPECT_EQ(baselineCacheSize(), 1u);
+}
+
+// A benchmark's short and long names resolve to one workload in
+// wload, so both spellings of one simulation are one cell with one
+// memoized baseline. A key over the names would tell the spellings
+// apart and run two identical baselines.
+TEST(Experiment, NameSpellingsShareOneBaseline)
+{
+    clearBaselineCache();
+    SimParams params;
+    params.maxInsts = 15000;
+    params.except.mech = ExceptMech::Traditional;
+
+    const std::vector<WorkloadParams> adm = benchmarkWorkloads({"adm"});
+    const std::vector<WorkloadParams> alphadoom =
+        benchmarkWorkloads({"alphadoom"});
+    EXPECT_EQ(cellKey(params, adm), cellKey(params, alphadoom));
+    PenaltyResult a = measurePenalty(params, adm);
+    PenaltyResult b = measurePenalty(params, alphadoom);
+    EXPECT_EQ(baselineCacheSize(), 1u);
+    EXPECT_EQ(a.perfect.cycles, b.perfect.cycles);
+    EXPECT_EQ(a.mech.cycles, b.mech.cycles);
+}
+
+TEST(Experiment, BaselineParamsChangesOnlyBaselineFields)
+{
+    SimParams params;
+    params.except.mech = ExceptMech::Multithreaded;
+    params.except.idleThreads = 3;
+    params.obs.attrib = true;
+    params.obs.trace = "exc";
+    params.obs.pipeview = "cell.konata";
+    params.obs.events = "cell.json";
+    params.ffwd.insts = 5000;
+    params.ffwd.save = "cell.ckpt";
+    params.mem.memLatency = 300;
+    params.core.setWidth(4);
+    params.verify.seed = 9;
+    params.maxInsts = 15000;
+    params.warmupInsts = 5000;
+
+    auto fields = [](const SimParams &p) {
+        std::map<std::string, std::string> out;
+        p.forEachParam([&](const std::string &name,
+                           const std::string &value) { out[name] = value; });
+        return out;
+    };
+    const SimParams perfect = baselineParams(params);
+    EXPECT_EQ(perfect.except.mech, ExceptMech::PerfectTlb);
+    EXPECT_EQ(perfect.except.idleThreads, 0u);
+    EXPECT_TRUE(perfect.ffwd.save.empty());
+
+    const auto given = fields(params);
+    const auto defaults = fields(SimParams());
+    for (const auto &[name, value] : fields(perfect)) {
+        if (name.rfind("obs.", 0) == 0) {
+            EXPECT_EQ(value, defaults.at(name)) << name;
+        } else if (name != "except.mech" && name != "except.idleThreads" &&
+                   name != "ffwd.save") {
+            EXPECT_EQ(value, given.at(name)) << name;
+        }
+    }
+}
+
+TEST(Experiment, PenaltyBaselineIsTheBaselineParamsRun)
+{
+    clearBaselineCache();
+    SimParams params;
+    params.maxInsts = 15000;
+    params.warmupInsts = 5000;
+    params.except.mech = ExceptMech::Multithreaded;
+    params.except.idleThreads = 3;
+    params.obs.attrib = true;
+    const std::vector<WorkloadParams> murphi =
+        benchmarkWorkloads({"murphi"});
+
+    PenaltyResult r = measurePenalty(params, murphi);
+    CoreResult fresh = runSimulation(baselineParams(params), murphi);
+    EXPECT_EQ(r.perfect.cycles, fresh.cycles);
+    EXPECT_EQ(r.perfect.userInsts, fresh.userInsts);
+    EXPECT_EQ(r.perfect.tlbMisses, fresh.tlbMisses);
+    EXPECT_EQ(r.perfect.measuredCycles, fresh.measuredCycles);
+    EXPECT_EQ(r.perfect.measuredInsts, fresh.measuredInsts);
+    EXPECT_EQ(r.perfect.ipc, fresh.ipc);
+    EXPECT_EQ(r.perfect.attrib.completed, 0u); // obs cleared
+    EXPECT_GT(r.mech.attrib.completed, 0u);
 }
 
 TEST(Experiment, Figure7MixesAreValid)
@@ -246,7 +339,7 @@ TEST(Params, OutOfRangeValueIsFatal)
     for (const char *assignment :
          {"core.windowSize=4294967360", "core.windowSize=-1",
           "core.width=-4", "core.frontendDepth=4294967303",
-          "maxInsts=-1", "seed=18446744073709551616",
+          "maxInsts=-1", "verify.seed=18446744073709551616",
           "helper.checkBase=-0x10", "maxInsts=0x800", "maxInsts=+5",
           "maxInsts= 5", "maxInsts=5k", "maxInsts=",
           // Probabilities: finite, decimal, in [0, 1].

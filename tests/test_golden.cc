@@ -293,7 +293,7 @@ sampledResultKey(ExceptMech mech)
     params.sample.periodInsts = 40000;
     params.sample.detailInsts = 4000;
     params.sample.warmupInsts = 1000;
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult r = sim.run();
     EXPECT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.sampling.samples, 10u);
@@ -422,7 +422,7 @@ TEST(GoldenSweep, SerialAndParallelSweepsAreBitIdentical)
           ExceptMech::QuickStart, ExceptMech::Hardware}) {
         SimParams params = goldenParams(mech);
         params.maxInsts = 12000;
-        jobs.emplace_back(params, std::vector<std::string>{"compress"},
+        jobs.emplace_back(params, benchmarkWorkloads({"compress"}),
                           std::string("golden/") + mechName(mech));
     }
 

@@ -241,7 +241,7 @@ TEST(HelperLifecycleStress, AuditsCleanAcrossSeedsUnderInjection)
         params.verify.squeezeWindowTo = 24;
         params.helper.prefetch = true;
 
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         CoreResult result = sim.run();
         ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
                                  << result.error;
@@ -356,13 +356,11 @@ checkerSimParams()
 std::vector<WorkloadParams>
 raceWorkloads(unsigned slice_count)
 {
-    std::vector<WorkloadParams> ws;
-    for (unsigned i = 0; i < 2; ++i) {
-        WorkloadParams wp = benchmarkParams("racetest");
-        wp.seed ^= uint64_t(i) * 0x2545f4914f6cdd1dULL;
-        wp.sliceCount = slice_count;
-        wp.sliceIndex = slice_count > 0 ? i : 0;
-        ws.push_back(wp);
+    std::vector<WorkloadParams> ws =
+        benchmarkWorkloads({"racetest", "racetest"});
+    for (unsigned i = 0; i < ws.size(); ++i) {
+        ws[i].sliceCount = slice_count;
+        ws[i].sliceIndex = slice_count > 0 ? i : 0;
     }
     return ws;
 }
@@ -429,12 +427,12 @@ TEST(PrefetchHelper, ImprovesDeltablueIpc)
     params.except.idleThreads = 1;
     params.maxInsts = 30000;
 
-    Simulator off(params, std::vector<std::string>{"deltablue"});
+    Simulator off(params, benchmarkWorkloads({"deltablue"}));
     CoreResult roff = off.run();
     ASSERT_TRUE(roff.ok()) << roff.error;
 
     params.helper.prefetch = true;
-    Simulator on(params, std::vector<std::string>{"deltablue"});
+    Simulator on(params, benchmarkWorkloads({"deltablue"}));
     CoreResult ron = on.run();
     ASSERT_TRUE(ron.ok()) << ron.error;
 
@@ -454,7 +452,7 @@ TEST(PrefetchHelper, RunsUnderMechanismsWithoutIdleThreads)
     params.maxInsts = 20000;
     params.helper.prefetch = true;
 
-    Simulator sim(params, std::vector<std::string>{"deltablue"});
+    Simulator sim(params, benchmarkWorkloads({"deltablue"}));
     CoreResult result = sim.run();
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_GT(stat(sim, "helper.serviceBorrows"), 0.0);

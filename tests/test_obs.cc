@@ -270,7 +270,7 @@ TEST_P(AttributionTest, CategoriesSumToSpanExactly)
 {
     ExceptMech mech = GetParam();
     SimParams params = obsParams(mech);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     ASSERT_TRUE(result.ok());
 
@@ -343,7 +343,7 @@ TEST(EventOrdering, RingIsChronologicalAndPerSeqWellFormed)
     SimParams params = obsParams(ExceptMech::Multithreaded, 5000);
     params.obs.pipeview = "/dev/null"; // want the ring
     params.obs.ringCapacity = 1u << 20;
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     ASSERT_TRUE(sim.run().ok());
 
     const EventLog *log = sim.core().eventLog();
@@ -401,7 +401,7 @@ TEST(Exporters, KonataFormat)
 {
     SimParams params = obsParams(ExceptMech::Multithreaded, 3000);
     params.obs.pipeview = "/dev/null";
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     ASSERT_TRUE(sim.run().ok());
 
     std::ostringstream os;
@@ -430,7 +430,7 @@ TEST(Exporters, KonataFormat)
 TEST(Exporters, ChromeTraceFormat)
 {
     SimParams params = obsParams(ExceptMech::Multithreaded, 5000);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     ASSERT_TRUE(sim.run().ok());
 
     std::ostringstream os;
@@ -551,7 +551,7 @@ TEST(TextTrace, ExcRunPrintsOneLinePerLifecycleEvent)
     SimParams params = obsParams(ExceptMech::Multithreaded, 20000);
     params.obs.attrib = false; // obs.trace alone turns the log on
     params.obs.trace = "exc";
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     ASSERT_NE(sim.core().eventLog(), nullptr);
     sim.core().eventLog()->attachSink(&counter);
     ::testing::internal::CaptureStderr();
@@ -584,13 +584,13 @@ TEST(ObsOff, TimingIsIdenticalAndHooksAreDark)
     off.obs = {};
     SimParams on = obsParams(ExceptMech::Multithreaded, 20000);
 
-    Simulator sim_off(off, std::vector<std::string>{"compress"});
+    Simulator sim_off(off, benchmarkWorkloads({"compress"}));
     CoreResult r_off = sim_off.run();
     EXPECT_EQ(sim_off.core().eventLog(), nullptr);
     EXPECT_EQ(sim_off.core().excTimeline(), nullptr);
     EXPECT_EQ(r_off.attrib.completed + r_off.attrib.aborted, 0u);
 
-    Simulator sim_on(on, std::vector<std::string>{"compress"});
+    Simulator sim_on(on, benchmarkWorkloads({"compress"}));
     CoreResult r_on = sim_on.run();
     ASSERT_NE(sim_on.core().excTimeline(), nullptr);
 
@@ -608,10 +608,11 @@ TEST(ObsOff, TraceAllKeepsTimingIdentical)
     SimParams on = off;
     on.obs.trace = "all";
 
-    const std::vector<std::string> benches{"compress"};
-    CoreResult r_off = runSimulation(off, benches);
+    const std::vector<WorkloadParams> compress =
+        benchmarkWorkloads({"compress"});
+    CoreResult r_off = runSimulation(off, compress);
     ::testing::internal::CaptureStderr();
-    CoreResult r_on = runSimulation(on, benches);
+    CoreResult r_on = runSimulation(on, compress);
     EXPECT_FALSE(::testing::internal::GetCapturedStderr().empty());
 
     EXPECT_EQ(r_off.cycles, r_on.cycles);
@@ -626,7 +627,7 @@ TEST(RingOverflow, AttributionSurvivesTinyRing)
     SimParams params = obsParams(ExceptMech::Multithreaded, 20000);
     params.obs.pipeview = "/dev/null";
     params.obs.ringCapacity = 64; // orders of magnitude too small
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     ASSERT_TRUE(result.ok());
 

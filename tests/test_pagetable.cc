@@ -83,7 +83,7 @@ TEST(PageTableShadow, MatchesTableUnderEveryMechanism)
         SimParams params;
         params.except.mech = mech;
         params.maxInsts = 30000;
-        Simulator sim(params, std::vector<std::string>{"compress"});
+        Simulator sim(params, benchmarkWorkloads({"compress"}));
         runOk(sim);
         expectShadowMatchesTable(sim);
     }
@@ -102,7 +102,7 @@ TEST(PageTableShadow, MatchesTableUnderFaultInjection)
     params.verify.squeezeDuration = 100;
     params.verify.squeezeWindowTo = 24;
     params.verify.handlerSquashPeriod = 700;
-    Simulator sim(params, std::vector<std::string>{"compress", "vortex"});
+    Simulator sim(params, benchmarkWorkloads({"compress", "vortex"}));
     runOk(sim);
     EXPECT_GT(stat(sim, "verify.injectedBadPtes"), 0.0);
     expectShadowMatchesTable(sim);
@@ -114,7 +114,7 @@ TEST(PageTableShadow, MatchesTableWithPrefetchHelper)
     params.except.mech = ExceptMech::Multithreaded;
     params.maxInsts = 30000;
     params.helper.prefetch = true;
-    Simulator sim(params, std::vector<std::string>{"deltablue"});
+    Simulator sim(params, benchmarkWorkloads({"deltablue"}));
     runOk(sim);
     EXPECT_GT(stat(sim, "helper.prefetch.probes"), 0.0);
     expectShadowMatchesTable(sim);
@@ -130,7 +130,7 @@ TEST(PageTableShadow, MatchesTableAfterCheckpointRestore)
     SimParams save = params;
     save.ffwd.insts = 20000;
     save.ffwd.save = path;
-    Simulator straight(save, std::vector<std::string>{"applu", "gcc"});
+    Simulator straight(save, benchmarkWorkloads({"applu", "gcc"}));
     runOk(straight);
     expectShadowMatchesTable(straight);
 
@@ -152,7 +152,7 @@ TEST(PageTableShadow, RestoreRefusesOversizedAddressSpace)
     save.ffwd.insts = 5000;
     save.ffwd.save = path;
     {
-        Simulator straight(save, std::vector<std::string>{"compress"});
+        Simulator straight(save, benchmarkWorkloads({"compress"}));
     }
     CheckpointData data;
     std::string err;
@@ -178,7 +178,7 @@ TEST(PageTableShadow, MatchesTableForSharedMemoryPair)
     SimParams params;
     params.except.mech = ExceptMech::Multithreaded;
     params.maxInsts = 30000;
-    Simulator sim(params, std::vector<std::string>{"racetest", "racetest"});
+    Simulator sim(params, benchmarkWorkloads({"racetest", "racetest"}));
     runOk(sim);
     expectShadowMatchesTable(sim);
 }
@@ -222,7 +222,7 @@ TEST(AddressSpaceHostPath, PageCrossingAccessIsPhysicallyContiguous)
 TEST(AddressSpaceHostPath, FirstStoreCreatesOneBackingPage)
 {
     SimParams params;
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     AddressSpace &space = sim.process(0).space();
     const Addr va = sim.workload(0).farBase + 5 * PageBytes + 16;
     auto pa = space.translate(va);
@@ -250,7 +250,7 @@ TEST(AddressSpaceHostPath, SharedFrameStoreVisibleToTheOtherSpace)
                      std::to_string(creator));
         SimParams params;
         Simulator sim(params,
-                      std::vector<std::string>{"racetest", "racetest"});
+                      benchmarkWorkloads({"racetest", "racetest"}));
         AddressSpace &mine = sim.process(creator).space();
         AddressSpace &other = sim.process(1 - creator).space();
         const Addr va = sim.workload(0).sharedBase + PageBytes + 64;

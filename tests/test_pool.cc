@@ -62,7 +62,7 @@ TEST(PoolStress, SquashStormRecyclesInsteadOfLeaking)
 {
     for (ExceptMech mech : AllMechs) {
         Simulator sim(stormParams(mech, 30000),
-                      std::vector<std::string>{"gcc"});
+                      benchmarkWorkloads({"gcc"}));
         CoreResult result = sim.run();
         EXPECT_TRUE(result.ok())
             << mechName(mech) << ": " << result.error;
@@ -89,7 +89,7 @@ TEST(PoolStress, TeardownMidFlightDrainsToZero)
         SimParams params = stormParams(mech, 5'000'000);
         params.watchdogCycles = 12000; // abort mid-storm, mid-flight
         auto sim = std::make_unique<Simulator>(
-            params, std::vector<std::string>{"gcc"});
+            params, benchmarkWorkloads({"gcc"}));
         CoreResult result = sim->run();
         ASSERT_EQ(result.status, RunStatus::Livelock)
             << mechName(mech) << ": " << result.error;
@@ -104,7 +104,7 @@ TEST(PoolStress, RepeatedStormsAreDeterministic)
 {
     auto run = [] {
         Simulator sim(stormParams(ExceptMech::Multithreaded, 20000),
-                      std::vector<std::string>{"gcc"});
+                      benchmarkWorkloads({"gcc"}));
         CoreResult result = sim.run();
         EXPECT_TRUE(result.ok()) << result.error;
         return std::tuple(result.cycles, result.tlbMisses,

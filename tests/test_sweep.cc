@@ -137,10 +137,10 @@ tinyJobList()
          {ExceptMech::Traditional, ExceptMech::Multithreaded,
           ExceptMech::Hardware}) {
         jobs.emplace_back(tinyParams(mech),
-                          std::vector<std::string>{"compress"},
+                          benchmarkWorkloads({"compress"}),
                           std::string("compress/") + mechName(mech));
         jobs.emplace_back(tinyParams(mech),
-                          std::vector<std::string>{"murphi"},
+                          benchmarkWorkloads({"murphi"}),
                           std::string("murphi/") + mechName(mech));
     }
     return jobs;
@@ -262,12 +262,13 @@ TEST(SweepJson, EscapesSpecials)
 TEST(SweepJson, SchemaFieldsPresentAndParseable)
 {
     // Synthesized outcome — no simulation needed to test the emitter.
-    SweepJob named(tinyParams(ExceptMech::Traditional), {"compress"},
-                   "cell \"quoted\"/traditional");
+    SweepJob named{tinyParams(ExceptMech::Traditional),
+                   benchmarkWorkloads({"compress"}),
+                   "cell \"quoted\"/traditional"};
     WorkloadParams wp;
     wp.name = "emul";
-    SweepJob custom(tinyParams(ExceptMech::Multithreaded), {wp},
-                    "cell/custom", /*skip_baseline=*/true);
+    SweepJob custom{tinyParams(ExceptMech::Multithreaded), {wp},
+                    "cell/custom", /*skipBaseline=*/true};
 
     SweepOutcome a;
     a.result.mech.cycles = 1234;
@@ -312,7 +313,7 @@ TEST(SweepJson, WholeParamSpaceSerialized)
         [&](const std::string &, const std::string &) { ++fields; });
     EXPECT_GE(fields, 50u);
 
-    SweepJob job(params, std::vector<std::string>{"gcc"}, "cell");
+    SweepJob job(params, benchmarkWorkloads({"gcc"}), "cell");
     std::string json =
         campaignResultsJson("bench_unit", {job}, doneCells({SweepOutcome{}}),
                             1, 0.0, CampaignOptions{}, false);

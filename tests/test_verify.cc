@@ -58,7 +58,7 @@ TEST(FaultInjector, BadPteDrivesHardexcReversion)
     SimParams params = mtParams();
     params.verify.badPteProb = 0.5;
 
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     runChecked(sim);
 
     EXPECT_GT(stat(sim, "verify.injectedBadPtes"), 0.0);
@@ -72,7 +72,7 @@ TEST(FaultInjector, WindowSqueezeDrivesDeadlockSquash)
     params.verify.squeezeDuration = 120;
     params.verify.squeezeWindowTo = 24;
 
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     runChecked(sim);
 
     EXPECT_GT(stat(sim, "verify.squeezeActivations"), 0.0);
@@ -84,7 +84,7 @@ TEST(FaultInjector, ForcedBurstMissDrivesRelink)
     SimParams params = mtParams();
     params.verify.forceSecondaryMissProb = 0.8;
 
-    Simulator sim(params, std::vector<std::string>{"gcc"});
+    Simulator sim(params, benchmarkWorkloads({"gcc"}));
     runChecked(sim);
 
     EXPECT_GT(stat(sim, "verify.injectedForcedMisses"), 0.0);
@@ -96,7 +96,7 @@ TEST(FaultInjector, StolenIdleContextDrivesTraditionalFallback)
     SimParams params = mtParams();
     params.verify.stealIdleProb = 0.5;
 
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     runChecked(sim);
 
     EXPECT_GT(stat(sim, "verify.injectedCtxSteals"), 0.0);
@@ -108,7 +108,7 @@ TEST(FaultInjector, HandlerSquashReclaimsMidFlightHandlers)
     SimParams params = mtParams();
     params.verify.handlerSquashPeriod = 40;
 
-    Simulator sim(params, std::vector<std::string>{"gcc"});
+    Simulator sim(params, benchmarkWorkloads({"gcc"}));
     runChecked(sim);
 
     EXPECT_GT(stat(sim, "verify.injectedHandlerSquashes"), 0.0);
@@ -125,7 +125,7 @@ TEST(FaultInjector, AllInjectionsAtOnceUnderQuickStart)
     params.verify.squeezeDuration = 100;
     params.verify.handlerSquashPeriod = 700;
 
-    Simulator sim(params, std::vector<std::string>{"vortex"});
+    Simulator sim(params, benchmarkWorkloads({"vortex"}));
     runChecked(sim);
 }
 
@@ -136,7 +136,7 @@ TEST(FaultInjector, SmtMixSurvivesInjection)
     params.verify.forceSecondaryMissProb = 0.4;
 
     Simulator sim(params,
-                  std::vector<std::string>{"compress", "murphi", "vortex"});
+                  benchmarkWorkloads({"compress", "murphi", "vortex"}));
     runChecked(sim);
 }
 
@@ -146,8 +146,8 @@ TEST(FaultInjector, DeterministicUnderSeed)
     params.verify.badPteProb = 0.4;
     params.verify.seed = 42;
 
-    Simulator a(params, std::vector<std::string>{"compress"});
-    Simulator b(params, std::vector<std::string>{"compress"});
+    Simulator a(params, benchmarkWorkloads({"compress"}));
+    Simulator b(params, benchmarkWorkloads({"compress"}));
     CoreResult ra = a.run();
     CoreResult rb = b.run();
     EXPECT_EQ(ra.cycles, rb.cycles);
@@ -165,7 +165,7 @@ TEST(InvariantChecker, CatchesSeededSpliceOrderingBug)
     SimParams params = mtParams();
     params.verify.mutateSpliceBug = true;
 
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
 
     ASSERT_FALSE(result.ok());
@@ -182,7 +182,7 @@ TEST(InvariantChecker, CleanRunsHaveNoViolations)
         SimParams params = mtParams(20000);
         params.except.mech = mech;
 
-        Simulator sim(params, std::vector<std::string>{"gcc"});
+        Simulator sim(params, benchmarkWorkloads({"gcc"}));
         CoreResult result = sim.run();
         EXPECT_TRUE(result.ok()) << mechName(mech) << ": " << result.error;
         ASSERT_NE(sim.core().invariants(), nullptr);
@@ -203,7 +203,7 @@ TEST(RunStatus, WatchdogReportsLivelockGracefully)
     params.maxInsts = 50000;
     params.watchdogCycles = 200; // far too few to finish
 
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
 
     ASSERT_FALSE(result.ok());
@@ -216,7 +216,7 @@ TEST(RunStatus, WatchdogReportsLivelockGracefully)
 TEST(RunStatus, CompletedRunsReportOk)
 {
     SimParams params = mtParams(15000);
-    Simulator sim(params, std::vector<std::string>{"compress"});
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
     CoreResult result = sim.run();
     EXPECT_TRUE(result.ok());
     EXPECT_EQ(result.status, RunStatus::Ok);
@@ -230,8 +230,7 @@ TEST(RunStatus, CompletedRunsReportOk)
 TEST(DiffChecker, ReportsPerThreadResults)
 {
     SimParams params = mtParams(30000);
-    std::vector<std::string> mix = {"compress", "vortex"};
-    Simulator sim(params, mix);
+    Simulator sim(params, benchmarkWorkloads({"compress", "vortex"}));
     ASSERT_TRUE(sim.run().ok());
 
     DiffResult diff = diffAgainstGolden(sim);

@@ -105,6 +105,34 @@ TEST(Workload, ShortAliasesResolve)
     EXPECT_EQ(benchmarkParams("adm").name, "alphadoom");
 }
 
+// benchmarkWorkloads is where names become a cell's workloads: a lone
+// or first name keeps its preset, a short name resolves to the long
+// one, and position i > 0 salts the preset seed by
+// i * 0x2545f4914f6cdd1d, so a repeated benchmark draws a distinct
+// stream and every named mix keeps the streams its results came from.
+TEST(Workload, BenchmarkWorkloadsResolveNames)
+{
+    EXPECT_TRUE(benchmarkWorkloads({}).empty());
+    EXPECT_EQ(canonicalKey(benchmarkWorkloads({"gcc"}).at(0)),
+              canonicalKey(benchmarkParams("gcc")));
+    EXPECT_EQ(canonicalKey(benchmarkWorkloads({"adm"}).at(0)),
+              canonicalKey(benchmarkParams("alphadoom")));
+
+    const std::vector<WorkloadParams> mix =
+        benchmarkWorkloads({"compress", "gcc", "cmp"});
+    ASSERT_EQ(mix.size(), 3u);
+    EXPECT_EQ(mix[2].name, "compress");
+    for (size_t i = 0; i < mix.size(); ++i) {
+        WorkloadParams preset = benchmarkParams(mix[i].name);
+        EXPECT_EQ(mix[i].seed,
+                  preset.seed ^ (uint64_t(i) * 0x2545f4914f6cdd1dULL))
+            << i;
+        preset.seed = mix[i].seed; // the seed is all the salt touches
+        EXPECT_EQ(canonicalKey(mix[i]), canonicalKey(preset)) << i;
+    }
+    EXPECT_NE(mix[0].seed, mix[2].seed);
+}
+
 TEST(Workload, UnknownBenchmarkIsFatal)
 {
     EXPECT_EXIT(benchmarkParams("quake"), ::testing::ExitedWithCode(1),

@@ -161,7 +161,7 @@ main(int argc, char **argv)
             // Rebuild the system every repetition: construction
             // (workload generation, page tables) is excluded from the
             // timed region, and no warm simulator state carries over.
-            Simulator sim(params, std::vector<std::string>{bench});
+            Simulator sim(params, benchmarkWorkloads({bench}));
             auto start = std::chrono::steady_clock::now();
             CoreResult result = sim.run();
             double wall = std::chrono::duration<double>(
@@ -197,7 +197,7 @@ main(int argc, char **argv)
         sr.wallSeconds = -1.0;
         for (unsigned r = 0; r < repeat; ++r) {
             SimParams params;
-            Simulator sim(params, std::vector<std::string>{bench});
+            Simulator sim(params, benchmarkWorkloads({bench}));
             SuperblockCache blocks;
             FuncMachine machine(sim.process(0), sim.mem());
             auto start = std::chrono::steady_clock::now();

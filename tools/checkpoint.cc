@@ -75,7 +75,7 @@ cmdCreate(int argc, char **argv)
 
     params.ffwd.save = out;
     // Build fast-forwards and writes the checkpoint; no detailed run.
-    Simulator sim(params, benches);
+    Simulator sim(params, benchmarkWorkloads(benches));
     std::printf("wrote %s: %llu insts fast-forwarded across %u proc%s\n",
                 out.c_str(), (unsigned long long)sim.ffwdExecuted(),
                 sim.numProcesses(), sim.numProcesses() == 1 ? "" : "s");

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -93,7 +92,7 @@ makeConfig(uint64_t sweep_seed, uint64_t index, uint64_t base_insts)
     rng.chance(0.3);
 
     p.maxInsts = base_insts / 2 + rng.below(base_insts);
-    p.seed = rng.next();
+    rng.next(); // spent draw: it fed the deleted SimParams::seed
     p.watchdogCycles = 20'000'000;
 
     // Fault schedule: each injector armed independently, so runs with
@@ -243,7 +242,8 @@ main(int argc, char **argv)
     uint64_t require_coverage = 1, verbose = 0, isolate = 0;
     unsigned jobs = 0;
     int64_t only = -1;
-    std::string json_path, timeout_text;
+    double timeout_s = 0.0;
+    std::string json_path;
 
     for (int i = 1; i < argc; ++i) {
         bool ok = false;
@@ -256,8 +256,18 @@ main(int argc, char **argv)
         jobs = parseArg(argv[i], "jobs", jobs, &ok);
         isolate = parseArg(argv[i], "isolate", isolate, &ok);
         json_path = parseStrArg(argv[i], "json", json_path, &ok);
-        timeout_text =
-            parseStrArg(argv[i], "timeout", timeout_text, &ok);
+        bool timeout_set = false;
+        std::string timeout = parseStrArg(argv[i], "timeout", "",
+                                          &timeout_set);
+        if (timeout_set) {
+            timeout_s = parseSeconds(timeout).value_or(0.0);
+            if (timeout_s == 0.0) {
+                std::fprintf(stderr, "bad timeout value '%s'\n",
+                             timeout.c_str());
+                return 2;
+            }
+            ok = true;
+        }
         bool only_set = false;
         int64_t o = parseArg(argv[i], "only", int64_t(0), &only_set);
         if (only_set) {
@@ -277,17 +287,6 @@ main(int argc, char **argv)
         // Each run draws its length below insts: there is no run of 0.
         std::fprintf(stderr, "bad insts value '0' (must be >= 1)\n");
         return 2;
-    }
-    double timeout_s = 0.0;
-    if (!timeout_text.empty()) {
-        char *end = nullptr;
-        timeout_s = std::strtod(timeout_text.c_str(), &end);
-        if (end == timeout_text.c_str() || *end != '\0' ||
-            !(timeout_s > 0.0)) {
-            std::fprintf(stderr, "bad timeout value '%s'\n",
-                         timeout_text.c_str());
-            return 2;
-        }
     }
     // A wall-clock budget is only enforceable on a killable child.
     const bool isolate_runs = isolate != 0 || timeout_s > 0.0;
