@@ -165,9 +165,6 @@ class SmtCore : public stats::StatGroup
     /** The DynInst slab pool (exposed for the pool-stress tests). */
     const DynInstPool &instPool() const { return dynInstPool; }
 
-    /** The fault injector, when verify.* enables one (else null). */
-    FaultInjector *faultInjector() { return injector.get(); }
-
     /** The helper-thread micro-service layer (always present; its
      *  services and stats exist only when helper.* enables them). */
     HelperManager &helperMgr() { return *helpers; }
@@ -275,6 +272,21 @@ class SmtCore : public stats::StatGroup
         uint64_t retiredUserInsts = 0;
         uint64_t storeHash = 0xcbf29ce484222325ULL;
 
+        /** The rename-table slot of one register. */
+        InstPtr &
+        writerOf(RegFileKind kind, unsigned reg)
+        {
+            switch (kind) {
+              case RegFileKind::Int:  return intWriter[reg];
+              case RegFileKind::Fp:   return fpWriter[reg];
+              case RegFileKind::Pal:  return palWriter[reg];
+              case RegFileKind::Priv: return privWriter[reg];
+              case RegFileKind::None: break;
+            }
+            panic("bad register file kind");
+            return intWriter[0];
+        }
+
         bool isApp() const { return cstate == CtxState::App; }
         bool isHandler() const { return cstate == CtxState::Handler; }
     };
@@ -317,8 +329,10 @@ class SmtCore : public stats::StatGroup
     unsigned effectiveWindowSize() const;
     bool windowHasRoomFor(const ThreadCtx &ctx, const DynInst &inst) const;
     void dispatchInst(ThreadCtx &ctx, const InstPtr &inst);
-    void functionalExecute(ThreadCtx &ctx, const InstPtr &inst);
-    void linkDependencies(ThreadCtx &ctx, const InstPtr &inst);
+    /** Execute @p inst against the thread's speculative state, link
+     *  it to the writers of the registers it read and rename the one
+     *  it wrote. */
+    void executeAndLink(ThreadCtx &ctx, const InstPtr &inst);
     void handlerWindowDeadlock(ThreadCtx &handler_ctx);
     unsigned reservedAgainst(ThreadID master) const;
 

@@ -24,11 +24,17 @@ namespace zmt
  * speculative state, captures undo info and side effects into the
  * DynInst. PAL-mode instructions use the context's shadow integer
  * registers and physical addressing, mirroring Alpha PALcode.
+ *
+ * Register dependences come from the semantics themselves: each
+ * register executeInst reads (r31/f31 excepted) links the
+ * instruction to that register's in-flight writer, so there is no
+ * second, hand-kept list of operands to fall out of step with it.
  */
 class DispatchContext final
 {
   public:
-    DispatchContext(SmtCore &core, SmtCore::ThreadCtx &ctx, DynInst &inst)
+    DispatchContext(SmtCore &core, SmtCore::ThreadCtx &ctx,
+                    const InstPtr &inst)
         : core(core), ctx(ctx), inst(inst)
     {}
 
@@ -37,7 +43,12 @@ class DispatchContext final
     {
         if (reg == isa::ZeroReg)
             return 0;
-        return inst.palMode ? ctx.palRegs[reg] : ctx.arch.intRegs[reg];
+        if (inst->palMode) {
+            dependOn(RegFileKind::Pal, reg);
+            return ctx.palRegs[reg];
+        }
+        dependOn(RegFileKind::Int, reg);
+        return ctx.arch.intRegs[reg];
     }
 
     void
@@ -45,7 +56,7 @@ class DispatchContext final
     {
         if (reg == isa::ZeroReg)
             return;
-        if (inst.palMode) {
+        if (inst->palMode) {
             recordUndo(RegFileKind::Pal, reg, ctx.palRegs[reg]);
             ctx.palRegs[reg] = value;
         } else {
@@ -57,7 +68,10 @@ class DispatchContext final
     uint64_t
     readFpReg(unsigned reg)
     {
-        return ctx.arch.readFp(reg);
+        if (reg == isa::ZeroReg)
+            return 0;
+        dependOn(RegFileKind::Fp, reg);
+        return ctx.arch.fpRegs[reg];
     }
 
     void
@@ -72,6 +86,7 @@ class DispatchContext final
     uint64_t
     readPrivReg(isa::PrivReg pr)
     {
+        dependOn(RegFileKind::Priv, unsigned(pr));
         return ctx.arch.readPriv(pr);
     }
 
@@ -83,15 +98,15 @@ class DispatchContext final
         ctx.arch.writePriv(pr, value);
     }
 
-    Addr pc() const { return inst.pc; }
+    Addr pc() const { return inst->pc; }
 
     uint64_t
     readMem(Addr addr, unsigned size)
     {
-        inst.effVa = addr;
-        if (inst.palMode) {
-            inst.memMapped = true;
-            inst.effPa = addr;
+        inst->effVa = addr;
+        if (inst->palMode) {
+            inst->memMapped = true;
+            inst->effPa = addr;
             uint64_t value = core.physMem.read(addr, size);
             if (core.injector && ctx.isHandler()) {
                 // Injected invalid PTE: a one-shot shadow override on
@@ -106,50 +121,50 @@ class DispatchContext final
         if (!loaded) {
             // Wild wrong-path access: no data, but the timing model
             // still sees the address (cache/TLB pollution).
-            inst.memMapped = false;
-            inst.effPa = 0;
+            inst->memMapped = false;
+            inst->effPa = 0;
             return 0;
         }
-        inst.memMapped = true;
-        inst.effPa = loaded->pa;
+        inst->memMapped = true;
+        inst->effPa = loaded->pa;
         return loaded->value;
     }
 
     void
     writeMem(Addr addr, unsigned size, uint64_t value)
     {
-        inst.effVa = addr;
-        inst.storeValue = value;
-        panic_if(inst.palMode,
+        inst->effVa = addr;
+        inst->storeValue = value;
+        panic_if(inst->palMode,
                  "PAL handler performed a store (paper Sec 4.2 forbids)");
         AddressSpace &space = ctx.proc->space();
         auto old = space.load(addr, size);
         if (!old) {
-            inst.memMapped = false;
-            inst.effPa = 0;
+            inst->memMapped = false;
+            inst->effPa = 0;
             return;
         }
-        inst.memMapped = true;
-        inst.effPa = old->pa;
-        inst.hasMemUndo = true;
-        inst.memUndoPa = old->pa;
-        inst.memUndoSize = uint8_t(size);
-        inst.memUndoValue = old->value;
+        inst->memMapped = true;
+        inst->effPa = old->pa;
+        inst->hasMemUndo = true;
+        inst->memUndoPa = old->pa;
+        inst->memUndoSize = uint8_t(size);
+        inst->memUndoValue = old->value;
         space.store(addr, size, value);
     }
 
     void
     setNextPc(Addr target)
     {
-        inst.actTaken = true;
-        inst.actTarget = target;
+        inst->actTaken = true;
+        inst->actTarget = target;
     }
 
     void
     tlbWrite(uint64_t tag, uint64_t data)
     {
-        inst.tlbTag = tag;
-        inst.tlbData = data;
+        inst->tlbTag = tag;
+        inst->tlbData = data;
     }
 
     // Timing-level effects of these happen at execute, not dispatch.
@@ -158,160 +173,46 @@ class DispatchContext final
     void halt() {}
 
   private:
+    /** Wait for the register's writer if it has not produced it yet. */
+    void
+    dependOn(RegFileKind kind, unsigned reg)
+    {
+        const InstPtr &writer = ctx.writerOf(kind, reg);
+        if (writer && !writer->completed() &&
+            writer->status != InstStatus::Retired && !writer->squashed()) {
+            writer->dependents.push_back(inst);
+            ++inst->depsPending;
+        }
+    }
+
     void
     recordUndo(RegFileKind kind, unsigned reg, uint64_t old_value)
     {
         // Each instruction writes at most one register.
-        if (inst.undoKind != RegFileKind::None)
+        if (inst->undoKind != RegFileKind::None)
             return;
-        inst.undoKind = kind;
-        inst.undoReg = uint8_t(reg);
-        inst.undoValue = old_value;
+        inst->undoKind = kind;
+        inst->undoReg = uint8_t(reg);
+        inst->undoValue = old_value;
     }
 
     SmtCore &core;
     SmtCore::ThreadCtx &ctx;
-    DynInst &inst;
+    const InstPtr &inst;
 };
 
 static_assert(ExecContext<DispatchContext>);
 
 void
-SmtCore::functionalExecute(ThreadCtx &ctx, const InstPtr &inst)
+SmtCore::executeAndLink(ThreadCtx &ctx, const InstPtr &inst)
 {
-    DispatchContext dc(*this, ctx, *inst);
+    DispatchContext dc(*this, ctx, inst);
     executeInst(inst->di, dc);
-}
 
-namespace
-{
-
-/** Enumerate the source registers of an instruction. */
-template <typename Fn>
-void
-forEachSrc(const isa::DecodedInst &di, bool pal_mode, Fn fn)
-{
-    using isa::Opcode;
-    const auto &info = *di.info;
-    RegFileKind ik = pal_mode ? RegFileKind::Pal : RegFileKind::Int;
-
-    switch (di.op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::Lui:
-      case Opcode::Br:
-      case Opcode::Bsr:
-      case Opcode::Rfe:
-      case Opcode::Hardexc:
-        return;
-      case Opcode::Mfpr:
-        fn(RegFileKind::Priv, unsigned(di.imm));
-        return;
-      case Opcode::Mtpr:
-        fn(ik, di.ra);
-        return;
-      case Opcode::Tlbwr:
-        fn(RegFileKind::Priv, unsigned(isa::PrivReg::TlbTag));
-        fn(RegFileKind::Priv, unsigned(isa::PrivReg::TlbData));
-        return;
-      case Opcode::Jsr:
-        fn(ik, di.rb);
-        return;
-      case Opcode::Ret:
-      case Opcode::Jmp:
-        fn(ik, di.ra);
-        return;
-      case Opcode::Itof:
-        fn(ik, di.ra);
-        return;
-      case Opcode::Ftoi:
-        fn(RegFileKind::Fp, di.ra);
-        return;
-      case Opcode::Fsqrt:
-        fn(RegFileKind::Fp, di.ra);
-        return;
-      default:
-        break;
-    }
-
-    if (info.isFp) {
-        fn(RegFileKind::Fp, di.ra);
-        fn(RegFileKind::Fp, di.rb);
-        return;
-    }
-    if (info.isLoad) {
-        fn(ik, di.rb);
-        return;
-    }
-    if (info.isStore) {
-        fn(ik, di.ra);
-        fn(ik, di.rb);
-        return;
-    }
-    if (info.isConditional) {
-        fn(ik, di.ra);
-        return;
-    }
-    if (info.isImmFormat) {
-        fn(ik, di.rb);
-        return;
-    }
-    // Register-format integer op.
-    fn(ik, di.ra);
-    fn(ik, di.rb);
-}
-
-} // anonymous namespace
-
-void
-SmtCore::linkDependencies(ThreadCtx &ctx, const InstPtr &inst)
-{
-    auto writer_slot = [&](RegFileKind kind, unsigned reg) -> InstPtr & {
-        switch (kind) {
-          case RegFileKind::Int:  return ctx.intWriter[reg];
-          case RegFileKind::Fp:   return ctx.fpWriter[reg];
-          case RegFileKind::Pal:  return ctx.palWriter[reg];
-          case RegFileKind::Priv: return ctx.privWriter[reg];
-          case RegFileKind::None: break;
-        }
-        panic("bad register file kind");
-        return ctx.intWriter[0];
-    };
-
-    forEachSrc(inst->di, inst->palMode,
-               [&](RegFileKind kind, unsigned reg) {
-                   if (kind != RegFileKind::Priv && reg == isa::ZeroReg)
-                       return;
-                   InstPtr &writer = writer_slot(kind, reg);
-                   if (writer && !writer->completed() &&
-                       writer->status != InstStatus::Retired &&
-                       !writer->squashed()) {
-                       writer->dependents.push_back(inst);
-                       ++inst->depsPending;
-                   }
-               });
-
-    // Destination: displace the previous writer, remembering it for
-    // squash rollback.
-    RegFileKind dk = RegFileKind::None;
-    unsigned di_idx = 0;
-    if (inst->di.op == isa::Opcode::Mtpr) {
-        dk = RegFileKind::Priv;
-        di_idx = unsigned(inst->di.imm);
-    } else {
-        int dest = inst->di.destReg();
-        if (dest >= 0) {
-            if (inst->di.destIsFp())
-                dk = RegFileKind::Fp;
-            else
-                dk = inst->palMode ? RegFileKind::Pal : RegFileKind::Int;
-            di_idx = unsigned(dest);
-        }
-    }
-    if (dk != RegFileKind::None) {
-        InstPtr &slot = writer_slot(dk, di_idx);
-        inst->destKind = dk;
-        inst->destIdx = uint8_t(di_idx);
+    // The register written, its undo entry, is renamed to this
+    // instruction; the writer it displaces is restored on squash.
+    if (inst->undoKind != RegFileKind::None) {
+        InstPtr &slot = ctx.writerOf(inst->undoKind, inst->undoReg);
         inst->prevWriter = slot;
         slot = inst;
     }
@@ -353,13 +254,12 @@ SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
         inst->emulArg = ctx.arch.readFp(inst->di.ra);
     }
 
-    functionalExecute(ctx, inst);
+    executeAndLink(ctx, inst);
 
     if (params.except.emulateFsqrt && !inst->palMode &&
         inst->di.op == isa::Opcode::Fsqrt && inst->di.destReg() >= 0) {
         inst->emulResult = ctx.arch.readFp(unsigned(inst->di.destReg()));
     }
-    linkDependencies(ctx, inst);
 
     inst->windowAt = curCycle;
     inst->status = InstStatus::InWindow;

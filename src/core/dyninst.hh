@@ -125,6 +125,8 @@ class DynInst
     uint64_t emulResult = 0; //!< emulated inst: exact result bits
 
     // --- Undo log (one register write + one memory write max) -----------
+    // The register entry also names the instruction's destination in
+    // the rename tables.
     RegFileKind undoKind = RegFileKind::None;
     uint8_t undoReg = 0;
     uint64_t undoValue = 0;
@@ -143,8 +145,6 @@ class DynInst
 
     // Speculative rename bookkeeping: the writer this instruction
     // displaced in its thread's rename table, restored on squash.
-    RegFileKind destKind = RegFileKind::None;
-    uint8_t destIdx = 0;
     InstPtr prevWriter;
 
     // --- Exception bookkeeping ------------------------------------------

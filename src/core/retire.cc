@@ -286,23 +286,14 @@ SmtCore::undoInst(ThreadCtx &ctx, DynInst &inst)
         ctx.arch.privRegs[inst.undoReg] = inst.undoValue;
         break;
       case RegFileKind::None:
-        break;
+        return;
     }
 
-    // Rename-table repair.
-    if (inst.destKind != RegFileKind::None) {
-        InstPtr *slot = nullptr;
-        switch (inst.destKind) {
-          case RegFileKind::Int:  slot = &ctx.intWriter[inst.destIdx]; break;
-          case RegFileKind::Fp:   slot = &ctx.fpWriter[inst.destIdx]; break;
-          case RegFileKind::Pal:  slot = &ctx.palWriter[inst.destIdx]; break;
-          case RegFileKind::Priv: slot = &ctx.privWriter[inst.destIdx]; break;
-          case RegFileKind::None: break;
-        }
-        if (slot && slot->get() == &inst)
-            *slot = inst.prevWriter;
-        inst.prevWriter.reset();
-    }
+    // Rename-table repair: the register written is the one renamed.
+    InstPtr &slot = ctx.writerOf(inst.undoKind, inst.undoReg);
+    if (slot.get() == &inst)
+        slot = inst.prevWriter;
+    inst.prevWriter.reset();
 }
 
 void

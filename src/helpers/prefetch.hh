@@ -57,8 +57,6 @@ class PrefetchHelper : public stats::StatGroup
      *  @return ports consumed (bounded by helper.prefetchDegree). */
     unsigned issueProbes(Cycle now, unsigned ports_free);
 
-    size_t queueDepth() const { return queue.size(); }
-
     // --- Statistics (core.helper.prefetch.*) -------------------------
     stats::Scalar trained;      //!< training loads observed
     stats::Scalar probes;       //!< probes issued into the hierarchy

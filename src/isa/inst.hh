@@ -41,9 +41,6 @@ struct DecodedInst
         // R31/F31 is the zero register: writes are discarded.
         return unsigned(d) == ZeroReg ? -1 : d;
     }
-
-    /** Whether the destination is in the FP register file. */
-    bool destIsFp() const { return info->isFp; }
 };
 
 /**

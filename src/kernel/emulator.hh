@@ -7,6 +7,13 @@
  * context each instantiate it, so register and memory accesses are
  * direct calls the compiler can inline instead of virtual calls, while
  * the semantics stay written once, here.
+ *
+ * They are also the only description of an instruction's operands: the
+ * timing core links each register these functions read to its
+ * in-flight writer and renames the one they write (core/dispatch.cc).
+ * So which registers an instruction reads must not depend on operand
+ * values: read every source before testing it (a zero divisor, a
+ * not-taken branch), or the dependence is lost.
  */
 
 #ifndef ZMT_KERNEL_EMULATOR_HH
@@ -70,29 +77,29 @@ branchOutcome(const isa::DecodedInst &inst, Ctx &ctx)
     using isa::Opcode;
     const Addr fallthrough = ctx.pc() + 4;
     const Addr rel_target = fallthrough + int64_t(inst.imm) * 4;
-    uint64_t a = ctx.readIntReg(inst.ra);
+    auto a = [&] { return ctx.readIntReg(inst.ra); };
 
     switch (inst.op) {
       case Opcode::Br:
       case Opcode::Bsr:
         return {true, rel_target};
       case Opcode::Beq:
-        return {a == 0, rel_target};
+        return {a() == 0, rel_target};
       case Opcode::Bne:
-        return {a != 0, rel_target};
+        return {a() != 0, rel_target};
       case Opcode::Blt:
-        return {s64(a) < 0, rel_target};
+        return {s64(a()) < 0, rel_target};
       case Opcode::Bge:
-        return {s64(a) >= 0, rel_target};
+        return {s64(a()) >= 0, rel_target};
       case Opcode::Blbc:
-        return {(a & 1) == 0, rel_target};
+        return {(a() & 1) == 0, rel_target};
       case Opcode::Blbs:
-        return {(a & 1) == 1, rel_target};
+        return {(a() & 1) == 1, rel_target};
       case Opcode::Jsr:
         return {true, ctx.readIntReg(inst.rb)};
       case Opcode::Ret:
       case Opcode::Jmp:
-        return {true, ctx.readIntReg(inst.ra)};
+        return {true, a()};
       case Opcode::Rfe:
         // Target resolved by the exception machinery, not here.
         return {true, 0};
@@ -169,8 +176,8 @@ executeInst(const isa::DecodedInst &inst, Ctx &ctx)
       case Opcode::Div: {
         // Division by zero yields zero rather than trapping; the
         // synthetic workloads rely on total functions.
-        uint64_t b = rd(inst.rb);
-        ctx.writeIntReg(inst.rc, b ? uint64_t(s64(rd(inst.ra)) / s64(b)) : 0);
+        int64_t a = s64(rd(inst.ra)), b = s64(rd(inst.rb));
+        ctx.writeIntReg(inst.rc, b ? uint64_t(a / b) : 0);
         break;
       }
 
@@ -210,8 +217,8 @@ executeInst(const isa::DecodedInst &inst, Ctx &ctx)
         ctx.writeFpReg(inst.rc, asU(fa(inst.ra) * fa(inst.rb)));
         break;
       case Opcode::Fdiv: {
-        double b = fa(inst.rb);
-        ctx.writeFpReg(inst.rc, asU(b != 0.0 ? fa(inst.ra) / b : 0.0));
+        double a = fa(inst.ra), b = fa(inst.rb);
+        ctx.writeFpReg(inst.rc, asU(b != 0.0 ? a / b : 0.0));
         break;
       }
       case Opcode::Fsqrt: {

@@ -95,9 +95,6 @@ class Process
      */
     void setResumeState(const ArchState &state);
 
-    /** Whether this process resumes mid-execution. */
-    bool hasResumeState() const { return resumeValid; }
-
     /**
      * Fetch one instruction word at a virtual PC (perfect ITLB: the
      * oracle translation is used; timing is modeled separately).

@@ -50,7 +50,6 @@ Simulator::Simulator(const SimParams &params,
 {
     tuneAllocatorOnce();
     simParams = params;
-    obsParams = params.obs;
     buildFromCheckpoint(params, checkpoint);
 }
 
@@ -67,7 +66,6 @@ Simulator::build(const SimParams &params,
 {
     tuneAllocatorOnce();
     simParams = params;
-    obsParams = params.obs;
 
     if (!params.ffwd.restore.empty()) {
         fatal_if(!workloads.empty(),
@@ -293,7 +291,8 @@ Simulator::runSampled()
              "sample.warmup (%llu)",
              (unsigned long long)sp.periodInsts,
              (unsigned long long)probeInsts);
-    fatal_if(!obsParams.pipeview.empty() || !obsParams.events.empty(),
+    fatal_if(!simParams.obs.pipeview.empty() ||
+                 !simParams.obs.events.empty(),
              "sampling cannot export pipeline traces (each probe "
              "interval would clobber the file)");
 
@@ -414,20 +413,20 @@ Simulator::runSampled()
 void
 Simulator::writeObsExports() const
 {
-    if (!obsParams.pipeview.empty()) {
+    if (!simParams.obs.pipeview.empty()) {
         const obs::EventLog *log = _core->eventLog();
         fatal_if(!log, "--pipeview requested but the event log is off");
-        std::ofstream os(obsParams.pipeview);
+        std::ofstream os(simParams.obs.pipeview);
         fatal_if(!os, "cannot open pipeview file '%s'",
-                 obsParams.pipeview.c_str());
+                 simParams.obs.pipeview.c_str());
         obs::writeKonata(os, *log);
     }
-    if (!obsParams.events.empty()) {
+    if (!simParams.obs.events.empty()) {
         const obs::ExcTimeline *tl = _core->excTimeline();
         fatal_if(!tl, "--events requested but the timeline is off");
-        std::ofstream os(obsParams.events);
+        std::ofstream os(simParams.obs.events);
         fatal_if(!os, "cannot open events file '%s'",
-                 obsParams.events.c_str());
+                 simParams.obs.events.c_str());
         obs::writeChromeTrace(os, *tl);
     }
 }
@@ -437,13 +436,13 @@ Simulator::flushObsExportsBestEffort() const
 {
     // Crash path: no fatal()s (we are already inside one), no
     // assumptions — write what exists, skip what doesn't.
-    if (!obsParams.pipeview.empty() && _core && _core->eventLog()) {
-        std::ofstream os(obsParams.pipeview);
+    if (!simParams.obs.pipeview.empty() && _core && _core->eventLog()) {
+        std::ofstream os(simParams.obs.pipeview);
         if (os)
             obs::writeKonata(os, *_core->eventLog());
     }
-    if (!obsParams.events.empty() && _core && _core->excTimeline()) {
-        std::ofstream os(obsParams.events);
+    if (!simParams.obs.events.empty() && _core && _core->excTimeline()) {
+        std::ofstream os(simParams.obs.events);
         if (os)
             obs::writeChromeTrace(os, *_core->excTimeline());
     }

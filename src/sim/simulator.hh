@@ -110,7 +110,6 @@ class Simulator
 
     stats::StatGroup root{"sim"};
     SimParams simParams; //!< full configuration, captured at build
-    ObsParams obsParams; //!< export destinations, captured at build
     PhysMem physMem;
     FrameAllocator frames;
     PalCode pal;

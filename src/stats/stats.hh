@@ -125,7 +125,6 @@ class Distribution : public StatBase
     uint64_t bucketCount(unsigned i) const { return buckets.at(i); }
     uint64_t underflows() const { return underflow; }
     uint64_t overflows() const { return overflow; }
-    unsigned numBuckets() const { return unsigned(buckets.size()); }
 
     void appendRows(std::vector<Row> &rows,
                     const std::string &prefix) const override;

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+
 #include "kernel/funcmachine.hh"
 #include "sim/experiment.hh"
 
@@ -110,6 +114,89 @@ TEST(Emulation, MultithreadedAvoidsTheSquashCost)
     CoreResult mt_result = mt.run();
 
     EXPECT_LT(double(mt_result.cycles), 0.8 * double(trad_result.cycles));
+}
+
+TEST(Emulation, EmulwrWaitsForTheStagedResult)
+{
+    // EMULWR reads the result the handler's MTPR stages in EmulResult,
+    // so it issues only once that MTPR has completed: the
+    // Newton-Raphson chain ahead of the MTPR delays the commit.
+    struct Times
+    {
+        ThreadID tid = InvalidThreadID;
+        bool emulwr = false;
+        Cycle issued = MaxCycle;
+        Cycle completed = MaxCycle;
+    };
+    struct HandlerLog : obs::EventSink
+    {
+        const obs::EventLog *log = nullptr;
+        std::string mtpr, emulwr;      //!< their disassembly
+        std::map<SeqNum, Times> bySeq; //!< the two instructions only
+
+        void
+        onEvent(const obs::Event &e) override
+        {
+            if (e.kind != obs::EventKind::Issued &&
+                e.kind != obs::EventKind::Completed)
+                return;
+            const std::string *text = log->label(e.seq);
+            if (!text || (*text != mtpr && *text != emulwr))
+                return;
+            Times &t = bySeq[e.seq];
+            t.tid = e.tid;
+            t.emulwr = *text == emulwr;
+            (e.kind == obs::EventKind::Issued ? t.issued : t.completed) =
+                e.cycle;
+        }
+    } handler_log;
+
+    PalCode pal = buildPalCode();
+    for (Addr pc = pal.emulFsqrtEntry; pc < pal.prog.end(); pc += 4) {
+        isa::DecodedInst inst =
+            isa::decode(pal.prog.words[(pc - pal.prog.base) / 4]);
+        if (inst.op == isa::Opcode::Mtpr &&
+            inst.imm == int16_t(isa::PrivReg::EmulResult))
+            handler_log.mtpr = isa::disassemble(inst);
+        if (inst.op == isa::Opcode::Emulwr)
+            handler_log.emulwr = isa::disassemble(inst);
+    }
+    ASSERT_FALSE(handler_log.mtpr.empty());
+    ASSERT_FALSE(handler_log.emulwr.empty());
+
+    SimParams params;
+    params.maxInsts = 20000;
+    params.except.mech = ExceptMech::Multithreaded;
+    params.except.emulateFsqrt = true;
+    // The pipeline view keeps each instruction's disassembly.
+    params.obs.pipeview = ::testing::TempDir() + "zmt_emulwr.konata";
+    params.obs.ringCapacity = 4096;
+    Simulator sim(params, std::vector<WorkloadParams>{emulWorkload()});
+    handler_log.log = sim.core().eventLog();
+    sim.core().eventLog()->attachSink(&handler_log);
+    ASSERT_TRUE(sim.run().ok());
+    std::remove(params.obs.pipeview.c_str());
+
+    // Pair each EMULWR with the latest MTPR EmulResult on its thread.
+    std::map<ThreadID, const Times *> staged;
+    unsigned checked = 0, early = 0;
+    SeqNum first_early = 0;
+    for (const auto &[seq, t] : handler_log.bySeq) {
+        if (!t.emulwr) {
+            staged[t.tid] = &t;
+            continue;
+        }
+        if (t.issued == MaxCycle)
+            continue; // squashed before issue
+        ASSERT_TRUE(staged[t.tid]) << "EMULWR seq " << seq;
+        ++checked;
+        if (t.issued < staged[t.tid]->completed && early++ == 0)
+            first_early = seq;
+    }
+    EXPECT_GT(checked, 0u);
+    EXPECT_EQ(early, 0u) << "of " << checked << " EMULWRs issued before "
+                         << "their MTPR completed; first seq "
+                         << first_early;
 }
 
 TEST(Emulation, QuickStartTypePredictorTracksLastType)

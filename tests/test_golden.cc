@@ -231,7 +231,7 @@ const GoldenPath goldenPaths[] = {
      0x1257bebd77c8b7eeULL},
     {"MtEmulateFsqrt", ExceptMech::Multithreaded, 1, {"compress"},
      [](SimParams &p) { p.except.emulateFsqrt = true; }, 1,
-     0x462d45f3e4fa0c5aULL},
+     0x3624f31a5b827e3dULL},
 };
 
 class GoldenPathTest : public ::testing::TestWithParam<GoldenPath>

@@ -10,8 +10,11 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/random.hh"
+#include "kernel/emulator.hh"
 #include "kernel/funcmachine.hh"
 #include "kernel/pal.hh"
 #include "kernel/process.hh"
@@ -586,6 +589,67 @@ TEST(Emulator, DivAndSqrtTotality)
     h.run();
     EXPECT_EQ(h.reg(2), 0u);
     EXPECT_DOUBLE_EQ(h.freg(8), 0.0);
+}
+
+/**
+ * ExecContext that gives every register and memory read one value
+ * and records which registers the semantics read.
+ */
+class ReadRecorder
+{
+  public:
+    explicit ReadRecorder(uint64_t fill) : fill(fill) {}
+
+    uint64_t readIntReg(unsigned r) { return note('r', r); }
+    void writeIntReg(unsigned, uint64_t) {}
+    uint64_t readFpReg(unsigned r) { return note('f', r); }
+    void writeFpReg(unsigned, uint64_t) {}
+    uint64_t readPrivReg(PrivReg pr) { return note('p', unsigned(pr)); }
+    void writePrivReg(PrivReg, uint64_t) {}
+    Addr pc() const { return 0x10000; }
+    uint64_t readMem(Addr, unsigned) { return fill; }
+    void writeMem(Addr, unsigned, uint64_t) {}
+    void setNextPc(Addr) {}
+    void tlbWrite(uint64_t, uint64_t) {}
+    void returnFromException() {}
+    void raiseHardException() {}
+    void halt() {}
+
+    std::vector<std::string> reads;
+
+  private:
+    uint64_t
+    note(char file, unsigned reg)
+    {
+        reads.push_back(file + std::to_string(reg));
+        return fill;
+    }
+
+    uint64_t fill;
+};
+
+static_assert(ExecContext<ReadRecorder>);
+
+TEST(Emulator, RegisterReadsDoNotDependOnValues)
+{
+    // The timing core links each register executeInst reads to its
+    // in-flight writer, so a read skipped for some operand values (a
+    // zero divisor, a not-taken branch) would be a lost dependence.
+    // All-zero registers take one side of every such test, an odd
+    // positive value (2.0000000000000004 as a double) the other.
+    for (unsigned op = 0; op < unsigned(Opcode::NumOpcodes); ++op) {
+        DecodedInst inst;
+        inst.op = Opcode(op);
+        inst.info = &opInfo(inst.op);
+        inst.ra = 1;
+        inst.rb = 2;
+        inst.rc = 3;
+        inst.imm = int16_t(PrivReg::EmulResult); // also a valid MFPR/MTPR
+        ReadRecorder zero(0), nonzero(0x4000000000000001ULL);
+        executeInst(inst, zero);
+        executeInst(inst, nonzero);
+        EXPECT_EQ(zero.reads, nonzero.reads) << inst.info->mnemonic;
+    }
 }
 
 TEST(Emulator, PalModePrivilegedRegisterFile)

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <stdexcept>
+
 #include "sim/simulator.hh"
 
 namespace
@@ -27,7 +31,10 @@ struct MicroHarness
     stats::StatGroup root{"sim"};
     std::unique_ptr<SmtCore> core;
 
-    explicit MicroHarness(const Assembler &a, const SimParams &params)
+    /** @p sink, if given, is attached to the core's event log (which
+     *  @p params must turn on) before the first cycle. */
+    MicroHarness(const Assembler &a, const SimParams &params,
+                 obs::EventSink *sink = nullptr)
         : pal(buildPalCode())
     {
         for (size_t i = 0; i < pal.prog.size(); ++i)
@@ -39,6 +46,8 @@ struct MicroHarness
         proc = std::make_unique<Process>(image, 1, mem, frames);
         std::vector<Process *> procs{proc.get()};
         core = std::make_unique<SmtCore>(params, procs, mem, pal, &root);
+        if (sink)
+            core->eventLog()->attachSink(sink);
 
         // Warm the instruction cache: the micro-tests measure pipeline
         // behaviour, not compulsory text misses.
@@ -89,6 +98,48 @@ microParams()
     params.except.mech = ExceptMech::PerfectTlb;
     params.maxInsts = 1'000'000'000; // driven by tick(), not run()
     return params;
+}
+
+/** Issue and completion cycles of each instruction, from the core's
+ *  event log. */
+struct IssueTimes : obs::EventSink
+{
+    struct Times
+    {
+        Cycle issued = MaxCycle;
+        Cycle completed = MaxCycle;
+    };
+    std::map<SeqNum, Times> bySeq;
+
+    void
+    onEvent(const obs::Event &e) override
+    {
+        if (e.kind == obs::EventKind::Issued)
+            bySeq[e.seq].issued = e.cycle;
+        else if (e.kind == obs::EventKind::Completed)
+            bySeq[e.seq].completed = e.cycle;
+    }
+
+    /** The @p i-th instruction of a straight-line program. */
+    const Times &
+    inst(size_t i) const
+    {
+        if (i >= bySeq.size())
+            throw std::out_of_range("instruction never issued");
+        return std::next(bySeq.begin(), std::ptrdiff_t(i))->second;
+    }
+};
+
+/** Run a straight-line program and time its instructions. */
+IssueTimes
+issueTimes(const Assembler &a)
+{
+    SimParams params = microParams();
+    params.obs.attrib = true; // turns the event log on
+    IssueTimes times;
+    MicroHarness h(a, params, &times);
+    EXPECT_TRUE(h.finished);
+    return times;
 }
 
 /** Straight-line program of n copies of an instruction, then HALT. */
@@ -154,6 +205,38 @@ TEST(Pipeline, FpDivPoolSerializes)
 
     EXPECT_GE(hd.cycles(), 40 * 12u);
     EXPECT_LT(hi.cycles(), hd.cycles() / 3);
+}
+
+// The moves between register files wait for the producer in the file
+// they read and wake consumers in the file they write.
+TEST(Pipeline, FimovWaitsForTheFdivItReads)
+{
+    Assembler a;
+    a.fdiv(1, 2, 3); // f3 = f1 / f2
+    a.fimov(3, 4);   // r4 = bits of f3
+    a.halt();
+    IssueTimes t = issueTimes(a);
+    EXPECT_GE(t.inst(1).issued, t.inst(0).completed);
+}
+
+TEST(Pipeline, IfmovWaitsForTheMulItReads)
+{
+    Assembler a;
+    a.mul(1, 2, 3);  // r3 = r1 * r2
+    a.ifmov(3, 4);   // f4 = bits of r3
+    a.halt();
+    IssueTimes t = issueTimes(a);
+    EXPECT_GE(t.inst(1).issued, t.inst(0).completed);
+}
+
+TEST(Pipeline, IntegerConsumerWaitsForFtoi)
+{
+    Assembler a;
+    a.ftoi(1, 2);    // r2 = int(f1)
+    a.addi(3, 2, 1); // r3 = r2 + 1
+    a.halt();
+    IssueTimes t = issueTimes(a);
+    EXPECT_GE(t.inst(1).issued, t.inst(0).completed);
 }
 
 TEST(Pipeline, LoadUseLatencyL1)
