@@ -174,8 +174,7 @@ SmtCore::~SmtCore()
     };
     for (const InstPtr &inst : parked)
         unlink(inst);
-    for (const auto &event : completionQueue)
-        unlink(event.inst);
+    completionQueue.forEach(unlink);
     for (const auto &ctx : contexts) {
         for (const InstPtr &inst : ctx->inflight)
             unlink(inst);

@@ -47,7 +47,8 @@ InvariantChecker::windowViolation(const SmtCore &core)
 
     // The window's members are the dispatched (inWindowLike) entries of
     // the in-flight lists, so its order is per-thread program order.
-    unsigned occupied = 0, handlerOccupied = 0, ready = 0, listed = 0;
+    unsigned occupied = 0, handlerOccupied = 0, ready = 0, listed = 0,
+             issued = 0, queued = 0;
     for (const auto &ctx : core.contexts) {
         SeqNum prev = 0;
         for (const InstPtr &inst : ctx->inflight) {
@@ -65,12 +66,18 @@ InvariantChecker::windowViolation(const SmtCore &core)
             handlerOccupied += slot && ctx->isHandler();
             ready += inst->status == InstStatus::InWindow &&
                      inst->depsPending == 0;
+            issued += inst->status == InstStatus::Issued;
         }
     }
     // A listed instruction still waiting on a producer, or a missing
     // operand-ready one (it would never issue), breaks the count.
     for (const InstPtr &inst : core.readyList)
         listed += inst->status == InstStatus::InWindow;
+    // Each issued instruction completes through exactly one queued
+    // event; a lost one would stall retirement until the watchdog.
+    core.completionQueue.forEach([&](const InstPtr &inst) {
+        queued += inst->status == InstStatus::Issued;
+    });
 
     // The instant-fetch limit study dispatches a whole handler the
     // cycle its miss is detected, without waiting for window room, so
@@ -88,6 +95,9 @@ InvariantChecker::windowViolation(const SmtCore &core)
     else if (listed != ready)
         os << "ready list holds " << listed << " of " << ready
            << " operand-ready instructions";
+    else if (queued != issued)
+        os << "completion queue holds " << queued << " events for "
+           << issued << " issued instructions";
     else
         return {};
     return violation();

@@ -13,6 +13,37 @@
 #include "sim/simulator.hh"
 #include "verify/diffcheck.hh"
 
+namespace zmt
+{
+
+/** White-box access to the core's pending completion events. */
+class CoreTestAccess
+{
+  public:
+    /** Drop the event of the oldest issued instruction; false if none. */
+    static bool
+    dropOldestIssuedEvent(SmtCore &core)
+    {
+        std::vector<InstPtr> *from = nullptr;
+        size_t at = 0;
+        for (auto &bucket : core.completionQueue.buckets) {
+            for (size_t i = 0; i < bucket.size(); ++i) {
+                if (bucket[i]->status == InstStatus::Issued &&
+                    (!from || bucket[i]->seq < (*from)[at]->seq)) {
+                    from = &bucket;
+                    at = i;
+                }
+            }
+        }
+        if (!from)
+            return false;
+        from->erase(from->begin() + ptrdiff_t(at));
+        return true;
+    }
+};
+
+} // namespace zmt
+
 namespace
 {
 
@@ -172,6 +203,30 @@ TEST(InvariantChecker, CatchesSeededSpliceOrderingBug)
     EXPECT_EQ(result.status, RunStatus::InvariantViolation);
     EXPECT_NE(result.error.find("splice ordering"), std::string::npos)
         << result.error;
+}
+
+TEST(InvariantCheckerDeathTest, CatchesALostCompletionEvent)
+{
+    SimParams params = mtParams();
+    params.verify.invariantPeriod = 0; // only the core's own audit
+    Simulator sim(params, benchmarkWorkloads({"compress"}));
+    SmtCore &core = sim.core();
+    while (core.now() < 1000)
+        core.tick();
+    ASSERT_EQ(InvariantChecker::windowViolation(core), "");
+
+    ASSERT_TRUE(CoreTestAccess::dropOldestIssuedEvent(core));
+    EXPECT_NE(InvariantChecker::windowViolation(core).find(
+                  "completion queue holds"),
+              std::string::npos);
+    // The core audits every 1024 cycles, so the lost event panics
+    // there instead of stalling retirement until the watchdog.
+    EXPECT_DEATH(
+        {
+            while (core.now() <= 1024)
+                core.tick();
+        },
+        "window audit: completion queue holds");
 }
 
 TEST(InvariantChecker, CleanRunsHaveNoViolations)
