@@ -2,7 +2,7 @@
  * @file
  * Simulator-speed benchmark: end-to-end KIPS (kilo simulated user
  * instructions retired per host second) per exception mechanism on the
- * Figure 5 workload. This measures the *simulator*, not the simulated
+ * Figure 5 workload, plus one Figure 7 three-application mix. This measures the *simulator*, not the simulated
  * machine — it is the repo's performance trajectory point and the CI
  * perf-smoke guardrail (see .github/workflows/ci.yml), so a hot-path
  * regression shows up as a number, not as mysteriously slower sweeps.
@@ -11,7 +11,11 @@
  *   bench_simspeed [--insts N] [--repeat N] [--bench NAME]
  *                  [--json PATH] [--no-json]
  *
- * Each configuration runs --repeat times and reports the fastest run
+ * --bench picks the single-application workload; the mix row always
+ * runs applu, compress and hydro2d, whose threads share the caches,
+ * buses and miss tracking. --insts is the total over a row's
+ * applications. Each configuration runs --repeat times and reports the
+ * fastest run
  * (minimum wall time), which is the standard way to suppress host
  * noise for a deterministic workload. Results go to
  * results/BENCH_simspeed.json (schema zmt-simspeed-v1):
@@ -49,17 +53,21 @@ struct SpeedConfig
     const char *label;
     ExceptMech mech;
     unsigned idleThreads;
+    std::vector<std::string> mix; //!< empty: the --bench workload
 };
 
 // The Figure 5 mechanism set plus the perfect-TLB baseline and
-// quick-start, so every mechanism's hot path is on the trajectory.
+// quick-start, so every mechanism's hot path is on the trajectory,
+// and a memory-bound Figure 7 mix for the SMT path.
 const SpeedConfig configs[] = {
-    {"perfect", ExceptMech::PerfectTlb, 0},
-    {"traditional", ExceptMech::Traditional, 0},
-    {"multithreaded(1)", ExceptMech::Multithreaded, 1},
-    {"multithreaded(3)", ExceptMech::Multithreaded, 3},
-    {"quickstart(1)", ExceptMech::QuickStart, 1},
-    {"hardware", ExceptMech::Hardware, 0},
+    {"perfect", ExceptMech::PerfectTlb, 0, {}},
+    {"traditional", ExceptMech::Traditional, 0, {}},
+    {"multithreaded(1)", ExceptMech::Multithreaded, 1, {}},
+    {"multithreaded(3)", ExceptMech::Multithreaded, 3, {}},
+    {"quickstart(1)", ExceptMech::QuickStart, 1, {}},
+    {"hardware", ExceptMech::Hardware, 0, {}},
+    {"mix3 multithreaded(1)", ExceptMech::Multithreaded, 1,
+     {"applu", "compress", "hydro2d"}},
 };
 
 struct SpeedResult
@@ -144,7 +152,7 @@ main(int argc, char **argv)
     fatal_if(repeat == 0, "--repeat must be >= 1");
 
     std::vector<SpeedResult> results;
-    std::printf("%-18s %10s %12s %10s %8s\n", "config", "KIPS",
+    std::printf("%-22s %10s %12s %10s %8s\n", "config", "KIPS",
                 "wall (best)", "cycles", "ipc");
     for (const SpeedConfig &config : configs) {
         SimParams params;
@@ -161,7 +169,10 @@ main(int argc, char **argv)
             // Rebuild the system every repetition: construction
             // (workload generation, page tables) is excluded from the
             // timed region, and no warm simulator state carries over.
-            Simulator sim(params, benchmarkWorkloads({bench}));
+            Simulator sim(params,
+                          benchmarkWorkloads(config.mix.empty()
+                                                 ? std::vector{bench}
+                                                 : config.mix));
             auto start = std::chrono::steady_clock::now();
             CoreResult result = sim.run();
             double wall = std::chrono::duration<double>(
@@ -180,7 +191,7 @@ main(int argc, char **argv)
         sr.kips = sr.wallSeconds > 0.0
                       ? double(sr.userInsts) / sr.wallSeconds / 1000.0
                       : 0.0;
-        std::printf("%-18s %10.0f %10.3fs %10llu %8.3f\n",
+        std::printf("%-22s %10.0f %10.3fs %10llu %8.3f\n",
                     config.label, sr.kips, sr.wallSeconds,
                     (unsigned long long)sr.cycles, sr.ipc);
         results.push_back(sr);
@@ -214,7 +225,7 @@ main(int argc, char **argv)
         sr.kips = sr.wallSeconds > 0.0
                       ? double(sr.userInsts) / sr.wallSeconds / 1000.0
                       : 0.0;
-        std::printf("%-18s %10.0f %10.3fs %10llu %8.3f\n", sr.label.c_str(),
+        std::printf("%-22s %10.0f %10.3fs %10llu %8.3f\n", sr.label.c_str(),
                     sr.kips, sr.wallSeconds, (unsigned long long)sr.cycles,
                     sr.ipc);
         results.push_back(sr);
